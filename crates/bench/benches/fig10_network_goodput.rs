@@ -9,7 +9,7 @@
 //! single node." Also §7.3's Meraki result: its optimal cut is point 1.
 
 use wishbone_apps::{build_speech_app, SpeechParams};
-use wishbone_core::{partition, PartitionConfig};
+use wishbone_core::{partition_deployment, Deployment, DeploymentConfig, LinkSpec, Site};
 use wishbone_net::ChannelParams;
 use wishbone_profile::{profile, Platform};
 use wishbone_runtime::{simulate_deployment, SimulationConfig};
@@ -85,14 +85,23 @@ fn main() {
     // with budget-normalized weights the energy proxy prefers the cheap
     // radio over the expensive CPU.
     let meraki = Platform::meraki_mini();
-    let mut cfg = PartitionConfig::for_platform(&meraki);
-    cfg.alpha = 1.0 / cfg.cpu_budget;
-    cfg.beta = 1.0 / cfg.net_budget;
-    let part = partition(&app.graph, &prof, &meraki, &cfg).expect("meraki fits at full rate");
-    println!(
-        "\nMeraki Mini optimal partition: {} node op(s) -> cut point 1 (paper: 'send the \
-         raw data directly back to the server')",
-        part.node_op_count()
+    let (cpu_budget, net_budget) = (
+        meraki.cpu_budget_fraction,
+        meraki.radio.goodput_bytes_per_sec,
     );
-    assert_eq!(part.node_op_count(), 1);
+    let dep = Deployment::binary(
+        Site::new(meraki.name.clone(), &meraki).with_alpha(1.0 / cpu_budget),
+        LinkSpec {
+            beta: 1.0 / net_budget,
+            net_budget,
+        },
+    );
+    let part = partition_deployment(&app.graph, &prof, &dep, &DeploymentConfig::default())
+        .expect("meraki fits at full rate");
+    let node_ops = part.leaves[0].site_ops[0].len();
+    println!(
+        "\nMeraki Mini optimal partition: {node_ops} node op(s) -> cut point 1 (paper: 'send the \
+         raw data directly back to the server')"
+    );
+    assert_eq!(node_ops, 1);
 }

@@ -12,8 +12,9 @@ use std::collections::HashSet;
 
 use wishbone_apps::{build_speech_app, SpeechParams};
 use wishbone_core::{
-    build_partition_graph, evaluate, exhaustive, greedy, local_search, max_sustainable_rate,
-    partition, Mode, ObjectiveConfig, PartitionConfig,
+    build_partition_graph, evaluate, exhaustive, greedy, local_search,
+    max_sustainable_rate_deployment, partition_deployment, Deployment, DeploymentConfig, LinkSpec,
+    Mode, ObjectiveConfig, Site,
 };
 use wishbone_net::{profile_network, ChannelParams};
 use wishbone_profile::{profile, Platform};
@@ -30,16 +31,24 @@ fn main() {
     let netprof = profile_network(channel, 1, 28, 0.90, 99);
     // Budget = network profile; CPU derated by the measured OS-overhead
     // factor (the paper's §7.3 proposal).
-    let mut cfg = PartitionConfig::for_platform(&mote).with_measured_overheads(&mote);
-    cfg.net_budget = netprof.max_aggregate_payload_rate;
-    let r = max_sustainable_rate(&app.graph, &prof, &mote, &cfg, 8.0, 0.01)
+    let dep = Deployment::binary(
+        Site::new(mote.name.clone(), &mote)
+            .with_cpu_budget(mote.cpu_budget_fraction / mote.os_overhead),
+        LinkSpec {
+            beta: 1.0,
+            net_budget: netprof.max_aggregate_payload_rate,
+        },
+    );
+    let cfg = DeploymentConfig::default();
+    let r = max_sustainable_rate_deployment(&app.graph, &prof, &dep, &cfg, 8.0, 0.01)
         .expect("solver ok")
         .expect("feasible");
+    let node_ops = &r.partition.leaves[0].site_ops[0];
     let recommended: &str = app
         .stages
         .iter()
         .rev()
-        .find(|(_, id)| r.partition.node_ops.contains(id))
+        .find(|(_, id)| node_ops.contains(id))
         .map(|&(n, _)| n)
         .unwrap();
     println!(
@@ -62,7 +71,7 @@ fn main() {
             &app.graph, &node_set, app.source, &elems, 40.0, &mote, channel, &dcfg,
         );
         let g = rep.goodput_ratio();
-        if node_set == r.partition.node_ops {
+        if node_set == *node_ops {
             rec_good = g;
         }
         if best.is_none_or(|(_, bg)| g > bg) {
@@ -84,8 +93,9 @@ fn main() {
 
     // ---- 2. Predicted vs measured CPU (Gumstix) --------------------------
     let gumstix = Platform::gumstix();
-    let gcfg = PartitionConfig::for_platform(&gumstix);
-    let gpart = partition(&app.graph, &prof, &gumstix, &gcfg).expect("gumstix fits");
+    let gdep = Deployment::chain(&[gumstix.clone(), Platform::server()]);
+    let gpart = partition_deployment(&app.graph, &prof, &gdep, &cfg).expect("gumstix fits");
+    let gpart = &gpart.leaves[0];
     let dcfg = SimulationConfig {
         duration_s: 20.0,
         task_model: TaskModel::threaded(),
@@ -94,7 +104,7 @@ fn main() {
     };
     let rep = simulate_deployment(
         &app.graph,
-        &gpart.node_ops,
+        &gpart.site_ops[0],
         app.source,
         &elems,
         40.0,
@@ -104,11 +114,11 @@ fn main() {
     );
     println!(
         "\nGumstix: predicted {:.1}% CPU, measured {:.1}% (paper: 11.5% vs 15%)",
-        gpart.predicted_cpu * 100.0,
+        gpart.predicted_cpu[0] * 100.0,
         rep.node_cpu_utilization * 100.0
     );
-    assert!(rep.node_cpu_utilization > gpart.predicted_cpu);
-    assert!(rep.node_cpu_utilization < gpart.predicted_cpu * 1.6);
+    assert!(rep.node_cpu_utilization > gpart.predicted_cpu[0]);
+    assert!(rep.node_cpu_utilization < gpart.predicted_cpu[0] * 1.6);
 
     // ---- 3. Baselines: ILP vs heuristics ---------------------------------
     wishbone_bench::header(

@@ -4,34 +4,42 @@
 //! and a platform model, compute the optimal split between the embedded
 //! nodes and the server.
 //!
-//! Pipeline (paper §3–§4):
+//! There is one pipeline, specialised by topology: a
+//! [`topology::Deployment`] tree of sites (motes, gateways, servers) goes
+//! through [`topology::PreparedDeployment`] to a placement, either at one
+//! rate ([`topology::PreparedDeployment::solve_at`]) or at the highest
+//! sustainable one ([`rate_search::max_sustainable_rate_deployment`]).
+//! The paper's node/server cut is the 2-site case
+//! ([`topology::Deployment::binary`]), a tier hierarchy is a path
+//! ([`topology::Deployment::chain`]), and §9's mixed network is a star.
+//!
+//! Inside (paper §3–§4):
 //!
 //! 1. [`cost_graph::pin_analysis`] — derive placement constraints from
 //!    operator metadata (§2.1.1) with single-crossing propagation (§2.1.2);
-//! 2. [`cost_graph::build_partition_graph`] — attach profiled CPU
-//!    fractions and on-air bandwidths as vertex/edge weights (§4);
-//! 3. [`preprocess::preprocess`] — merge data-expanding/neutral operators
-//!    downstream, shrinking the ILP without losing optimality (§4.1);
-//! 4. [`encodings::encode`] — build the restricted (single-crossing) or
-//!    general ILP (§4.2.1);
-//! 5. [`partitioner::partition`] — solve with branch-and-bound and decode;
-//! 6. [`rate_search::max_sustainable_rate`] — §4.3's binary search when
-//!    nothing fits;
+//! 2. [`multitier::build_tiered_graph`] — attach profiled CPU fractions
+//!    per site platform and on-air bandwidths per uplink as vertex/edge
+//!    weights along each leaf's root path (§4);
+//! 3. [`multitier::preprocess_tiered`] — merge data-expanding/neutral
+//!    operators downstream, shrinking the ILP without losing optimality
+//!    (§4.1);
+//! 4. [`encodings::encode_deployment`] — one joint ILP with per-leaf
+//!    monotone cuts and shared per-site CPU and per-uplink bandwidth rows
+//!    (the restricted formulation of §4.2.1);
+//! 5. [`topology::PreparedDeployment`] — solve with branch-and-bound
+//!    (or the [`multilevel`] anytime heuristic) and decode;
+//! 6. [`rate_search`] — §4.3's binary search when nothing fits;
 //! 7. [`baselines`] — all-node / all-server / greedy / local-search /
 //!    exhaustive comparators;
-//! 8. [`multitier`] — §9's hierarchies done properly: k-way monotone cuts
-//!    over mote → gateway → server chains, one joint ILP instead of one
-//!    binary cut per node class;
-//! 9. [`topology`] — the topology-first surface every entry point above
-//!    now delegates to: a [`topology::Deployment`] tree of sites (motes,
-//!    gateways, servers) whose path, star, and 2-site special cases are
-//!    the multi-tier, mixed, and binary partitioners — and whose genuine
-//!    trees (many motes per gateway, per-gateway uplink budgets) are new
-//!    capability;
-//! 10. [`audit`] — a static-analysis bridge: every encoder's output is
-//!     checked against its implied [`wishbone_audit::ModelSpec`] under
-//!     `debug_assertions`, so the whole test suite doubles as an audit
-//!     corpus.
+//! 8. [`audit`] — a static-analysis bridge: every encoder's output is
+//!    checked against its implied [`wishbone_audit::ModelSpec`] under
+//!    `debug_assertions`, so the whole test suite doubles as an audit
+//!    corpus.
+//!
+//! The standalone encoders — [`encodings::encode`] (the binary
+//! restricted and general formulations of §4.2.1) and
+//! [`encodings::encode_multitier`] (chains) — are kept as oracles: the
+//! parity tests pin the deployment encoding against them bit for bit.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -41,7 +49,6 @@ pub mod baselines;
 pub mod cost_graph;
 pub mod drift;
 pub mod encodings;
-pub mod mixed;
 pub mod multilevel;
 pub mod multitier;
 pub mod partitioner;
@@ -65,19 +72,16 @@ pub use encodings::{
     encode, encode_deployment, encode_multitier, DeploymentObjective, EncodedDeployment,
     EncodedMultiTier, EncodedProblem, Encoding, LeafChain, ObjectiveConfig, TierObjective,
 };
-pub use mixed::{partition_mixed, ClassPartition, MixedPartition, NodeClass};
 pub use multilevel::{approx_cut, partition_approx, ApproxCut};
 pub use multitier::{
-    build_tiered_graph, max_sustainable_rate_multitier, partition_multitier, preprocess_tiered,
-    LinkSpec, MultiTierConfig, MultiTierPartition, MultiTierRateResult, PreparedMultiTier, TEdge,
-    TVertex, TierSpec, TieredGraph, TieredPreprocessResult,
+    build_tiered_graph, preprocess_tiered, LinkSpec, TEdge, TVertex, TieredGraph,
+    TieredPreprocessResult,
 };
-pub use partitioner::{partition, Partition, PartitionConfig, PartitionError, PreparedPartition};
+pub use partitioner::PartitionError;
 pub use preprocess::{preprocess, PreprocessResult};
-pub use rate_search::{max_sustainable_rate, RateSearchResult, UnprovenRate};
+pub use rate_search::{max_sustainable_rate_deployment, DeploymentRateResult, UnprovenRate};
 pub use shape::{deltas_between, differing_sites, shape_key, ShapeKey};
 pub use topology::{
-    max_sustainable_rate_deployment, partition_deployment, Deployment, DeploymentConfig,
-    DeploymentDelta, DeploymentPartition, DeploymentRateResult, LeafPartition, PlacementEngine,
-    PreparedDeployment, RobustnessMode, Site, SiteId,
+    partition_deployment, Deployment, DeploymentConfig, DeploymentDelta, DeploymentPartition,
+    LeafPartition, PlacementEngine, PreparedDeployment, RobustnessMode, Site, SiteId,
 };

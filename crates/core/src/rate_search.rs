@@ -8,37 +8,38 @@
 //! the network is not driven past the point where sending more means
 //! receiving less, which the §7.3.1 network profile guarantees by keeping
 //! the budget below saturation.
+//!
+//! [`max_sustainable_rate_deployment`] runs that search over any
+//! [`Deployment`]: the paper's node/server split is its 2-site case.
 
 use wishbone_dataflow::Graph;
 use wishbone_ilp::SolverBackend;
-use wishbone_profile::{GraphProfile, Platform};
+use wishbone_profile::GraphProfile;
 
-use crate::partitioner::{Partition, PartitionConfig, PartitionError, PreparedPartition};
+use crate::partitioner::PartitionError;
+use crate::topology::{Deployment, DeploymentConfig, DeploymentPartition, PreparedDeployment};
 
-/// Result of the rate search.
+/// Result of the topology-aware §4.3 rate search.
 #[derive(Debug, Clone)]
-pub struct RateSearchResult {
-    /// Highest feasible rate multiplier found (relative to the profile's
-    /// reference rate).
+pub struct DeploymentRateResult {
+    /// Highest feasible global rate multiplier found.
     pub rate: f64,
-    /// The optimal partition at that rate.
-    pub partition: Partition,
-    /// Partitioner invocations (ILP solves) consumed.
+    /// The optimal placement at that rate.
+    pub partition: DeploymentPartition,
+    /// ILP solves consumed.
     pub evaluations: u32,
-    /// Partition-graph builds + preprocesses + ILP encodings performed:
-    /// always 1 — every probe re-solves the same [`PreparedPartition`]
-    /// with rescaled coefficients.
+    /// Encodings performed — always 1 (probes rescale in place).
     pub encodes: u32,
-    /// The simplex backend (resolved, never `Auto`) every probe ran on:
+    /// The simplex backend every probe ran on (resolved, never `Auto`):
     /// sparse revised on kilooperator encodings, dense tableau on small
     /// ones.
     pub backend: SolverBackend,
     /// The lowest probed rate whose solve timed out *without proving
     /// anything* (no incumbent, no infeasibility certificate). When
-    /// `Some`, [`RateSearchResult::rate`] is only a proven *lower* bound
-    /// on the sustainable rate — the true maximum may lie anywhere up to
-    /// the unproven rate. `None` means every probe was decisive and the
-    /// result is exact to the requested tolerance.
+    /// `Some`, [`DeploymentRateResult::rate`] is only a proven *lower*
+    /// bound on the sustainable rate — the true maximum may lie anywhere
+    /// up to the unproven rate. `None` means every probe was decisive and
+    /// the result is exact to the requested tolerance.
     pub unproven: Option<UnprovenRate>,
 }
 
@@ -53,192 +54,139 @@ pub struct UnprovenRate {
     pub best_bound: Option<f64>,
 }
 
-/// What one rate probe learned.
-pub(crate) enum ProbeOutcome<P> {
-    /// A placement exists at this rate (and here it is).
-    Feasible(P),
-    /// Proven: no placement exists at this rate.
-    Infeasible,
-    /// The probe's search budget ran out before any integer point was
-    /// found — nothing is proven either way.
-    Unproven {
-        /// Objective lower bound from the truncated tree, if any.
-        best_bound: Option<f64>,
-    },
+/// Probe bookkeeping for one search: the prepared instance, the probe
+/// count, and the lowest unproven probe.
+struct Search<'a> {
+    prep: PreparedDeployment<'a>,
+    evaluations: u32,
+    unproven: Option<UnprovenRate>,
 }
 
-/// How a [`search_max_rate`] run ended.
-pub(crate) enum SearchOutcome<P> {
-    /// A feasible rate was found (and possibly an unproven probe above
-    /// it).
-    Found {
-        /// Highest proven-feasible rate.
-        rate: f64,
-        /// The placement at that rate.
-        best: P,
-        /// Probes consumed.
-        evaluations: u32,
-        /// Lowest unproven probe above `rate`, if any probe timed out.
-        unproven: Option<UnprovenRate>,
-    },
-    /// Proven infeasible even at the vanishing floor rate.
-    Infeasible,
-    /// The floor probe itself was unproven: the search learned nothing.
-    FloorUnproven(UnprovenRate),
+impl Search<'_> {
+    /// Solve at `rate`: `Some` placement when feasible, `None` when
+    /// proven infeasible or unproven (the latter recorded).
+    fn probe(&mut self, rate: f64) -> Result<Option<DeploymentPartition>, PartitionError> {
+        self.evaluations += 1;
+        match self.prep.solve_at(rate) {
+            Ok(p) => Ok(Some(p)),
+            Err(PartitionError::Infeasible) => Ok(None),
+            Err(PartitionError::Unproven { best_bound }) => {
+                if self.unproven.is_none_or(|prev| rate < prev.rate) {
+                    self.unproven = Some(UnprovenRate { rate, best_bound });
+                }
+                Ok(None)
+            }
+            Err(e) => Err(e),
+        }
+    }
+
+    fn result(self, rate: f64, partition: DeploymentPartition) -> DeploymentRateResult {
+        DeploymentRateResult {
+            rate,
+            partition,
+            evaluations: self.evaluations,
+            encodes: self.prep.encodes(),
+            backend: self.prep.solver_backend(),
+            unproven: self.unproven,
+        }
+    }
 }
 
-/// The §4.3 search skeleton shared by the binary, multi-tier, and
-/// deployment rate searches: establish a feasible lower bound at a
-/// vanishing rate, double until infeasible (or the cap is hit), then
-/// bisect to relative precision `tol`. An
-/// [`ProbeOutcome::Unproven`] probe is treated as an upper bound for the
-/// bisection (conservative) but recorded and reported, so callers can
-/// tell a proven ceiling from a search that merely ran out of budget —
-/// the range above the result is *unproven*, not infeasible.
-pub(crate) fn search_max_rate<P, E>(
-    mut probe: impl FnMut(f64) -> Result<ProbeOutcome<P>, E>,
+/// Binary-search the maximum sustainable global rate multiplier of a
+/// deployment in `(0, hi_limit]` to relative precision `tol`.
+///
+/// The deployment is built, merged, and encoded **once** (a
+/// [`PreparedDeployment`]); each probe rescales the prepared ILP in
+/// place, reuses the same simplex workspace, and seeds branch-and-bound
+/// with the previous probe's incumbent. Infeasible probes at overload
+/// rates are typically refused by presolve without a single simplex
+/// iteration.
+///
+/// The schedule: establish a feasible lower bound at a vanishing rate,
+/// double until infeasible (or the cap is hit), then bisect. An
+/// [`PartitionError::Unproven`] probe is treated as an upper bound for
+/// the bisection (conservative) but reported in
+/// [`DeploymentRateResult::unproven`], so callers can tell a proven
+/// ceiling from a search that merely ran out of budget.
+///
+/// Returns `None` if the deployment is infeasible even at vanishingly
+/// small rates (e.g. pinned operators alone exceed a CPU budget),
+/// mirroring the paper's "the programmer will have to ... switch to a
+/// more powerful node platform" case. A non-finite or non-positive
+/// `hi_limit` or `tol` is [`PartitionError::Invalid`]; solver errors
+/// propagate.
+pub fn max_sustainable_rate_deployment(
+    graph: &Graph,
+    profile: &GraphProfile,
+    dep: &Deployment,
+    cfg: &DeploymentConfig,
     hi_limit: f64,
     tol: f64,
-) -> Result<SearchOutcome<P>, E> {
-    assert!(hi_limit > 0.0 && tol > 0.0);
-    let mut evals = 0u32;
-    let mut unproven: Option<UnprovenRate> = None;
-    let note_unproven = |u: &mut Option<UnprovenRate>, rate: f64, best_bound| {
-        if u.is_none_or(|prev| rate < prev.rate) {
-            *u = Some(UnprovenRate { rate, best_bound });
-        }
+) -> Result<Option<DeploymentRateResult>, PartitionError> {
+    if !(hi_limit.is_finite() && hi_limit > 0.0) {
+        return Err(PartitionError::Invalid(
+            "rate-search cap must be finite and positive",
+        ));
+    }
+    if !(tol.is_finite() && tol > 0.0) {
+        return Err(PartitionError::Invalid(
+            "rate-search tolerance must be finite and positive",
+        ));
+    }
+    let mut search = Search {
+        prep: PreparedDeployment::new(graph, profile, dep, cfg)?,
+        evaluations: 0,
+        unproven: None,
     };
 
     // Establish a feasible lower bound.
     let mut lo = hi_limit * 2f64.powi(-24);
-    evals += 1;
-    let mut best = match probe(lo)? {
-        ProbeOutcome::Feasible(p) => p,
-        ProbeOutcome::Infeasible => return Ok(SearchOutcome::Infeasible),
-        ProbeOutcome::Unproven { best_bound } => {
-            return Ok(SearchOutcome::FloorUnproven(UnprovenRate {
-                rate: lo,
-                best_bound,
-            }))
-        }
+    let Some(mut best) = search.probe(lo)? else {
+        return match search.unproven {
+            // The floor probe itself was unproven: nothing was learned.
+            Some(u) => Err(PartitionError::Unproven {
+                best_bound: u.best_bound,
+            }),
+            None => Ok(None),
+        };
     };
 
     // Grow until infeasible/unproven or the cap is hit.
     let mut hi = lo;
     loop {
         let next = (hi * 2.0).min(hi_limit);
-        evals += 1;
-        match probe(next)? {
-            ProbeOutcome::Feasible(p) => {
-                lo = next;
-                best = p;
-                hi = next;
-                if (next - hi_limit).abs() < f64::EPSILON * hi_limit {
-                    return Ok(SearchOutcome::Found {
-                        rate: lo,
-                        best,
-                        evaluations: evals,
-                        unproven,
-                    });
-                }
-            }
-            ProbeOutcome::Infeasible => {
-                hi = next;
-                break;
-            }
-            ProbeOutcome::Unproven { best_bound } => {
-                note_unproven(&mut unproven, next, best_bound);
-                hi = next;
-                break;
-            }
+        hi = next;
+        let Some(p) = search.probe(next)? else {
+            break;
+        };
+        lo = next;
+        best = p;
+        if (next - hi_limit).abs() < f64::EPSILON * hi_limit {
+            return Ok(Some(search.result(lo, best)));
         }
     }
 
     // Bisect (lo feasible; hi infeasible or unproven).
     while (hi - lo) / lo > tol {
         let mid = 0.5 * (lo + hi);
-        evals += 1;
-        match probe(mid)? {
-            ProbeOutcome::Feasible(p) => {
+        match search.probe(mid)? {
+            Some(p) => {
                 lo = mid;
                 best = p;
             }
-            ProbeOutcome::Infeasible => hi = mid,
-            ProbeOutcome::Unproven { best_bound } => {
-                note_unproven(&mut unproven, mid, best_bound);
-                hi = mid;
-            }
+            None => hi = mid,
         }
     }
-    Ok(SearchOutcome::Found {
-        rate: lo,
-        best,
-        evaluations: evals,
-        unproven,
-    })
-}
-
-/// Binary-search the maximum sustainable rate multiplier in
-/// `(0, hi_limit]`, to relative precision `tol`.
-///
-/// The partition graph is built, preprocessed, and encoded **once** (a
-/// [`PreparedPartition`]); each probe rescales the prepared ILP in place,
-/// reuses the same simplex workspace, and seeds branch-and-bound with the
-/// previous probe's incumbent. Infeasible probes at overload rates are
-/// typically refused by presolve without a single simplex iteration.
-///
-/// Returns `None` if the program is infeasible even at vanishingly small
-/// rates (e.g. pinned operators alone exceed the CPU budget), mirroring the
-/// paper's "the programmer will have to ... switch to a more powerful node
-/// platform" case. Solver errors propagate.
-pub fn max_sustainable_rate(
-    graph: &Graph,
-    profile: &GraphProfile,
-    platform: &Platform,
-    cfg: &PartitionConfig,
-    hi_limit: f64,
-    tol: f64,
-) -> Result<Option<RateSearchResult>, PartitionError> {
-    let mut prep = PreparedPartition::new(graph, profile, platform, cfg)?;
-    let outcome = search_max_rate(
-        |rate| match prep.solve_at(rate) {
-            Ok(p) => Ok(ProbeOutcome::Feasible(p)),
-            Err(PartitionError::Infeasible) => Ok(ProbeOutcome::Infeasible),
-            Err(PartitionError::Unproven { best_bound }) => {
-                Ok(ProbeOutcome::Unproven { best_bound })
-            }
-            Err(e) => Err(e),
-        },
-        hi_limit,
-        tol,
-    )?;
-    match outcome {
-        SearchOutcome::Found {
-            rate,
-            best,
-            evaluations,
-            unproven,
-        } => Ok(Some(RateSearchResult {
-            rate,
-            partition: best,
-            evaluations,
-            encodes: prep.encodes(),
-            backend: prep.solver_backend(),
-            unproven,
-        })),
-        SearchOutcome::Infeasible => Ok(None),
-        SearchOutcome::FloorUnproven(u) => Err(PartitionError::Unproven {
-            best_bound: u.best_bound,
-        }),
-    }
+    Ok(Some(search.result(lo, best)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::partitioner::partition;
+    use crate::multitier::LinkSpec;
+    use crate::topology::{partition_deployment, PreparedDeployment, Site};
     use wishbone_dataflow::{ExecCtx, FnWork, GraphBuilder, OperatorId, Value};
-    use wishbone_profile::{profile as run_profile, SourceTrace};
+    use wishbone_profile::{profile as run_profile, Platform, SourceTrace};
 
     /// src -> crunch(compute-heavy 10x reducer) -> sink.
     fn app() -> (Graph, OperatorId) {
@@ -275,31 +223,43 @@ mod tests {
         (g, p)
     }
 
+    /// The paper's node/server split on `platform` at its default
+    /// budgets.
+    fn binary(platform: &Platform) -> Deployment {
+        Deployment::chain(&[platform.clone(), Platform::server()])
+    }
+
     #[test]
     fn finds_a_boundary_rate() {
         let (g, prof) = profiled();
-        let platform = Platform::tmote_sky();
-        let cfg = PartitionConfig::for_platform(&platform);
-        let r = max_sustainable_rate(&g, &prof, &platform, &cfg, 64.0, 0.01)
+        let dep = binary(&Platform::tmote_sky());
+        let cfg = DeploymentConfig::default();
+        let r = max_sustainable_rate_deployment(&g, &prof, &dep, &cfg, 64.0, 0.01)
             .unwrap()
             .expect("feasible at low rates");
         assert!(r.rate > 0.0 && r.rate < 64.0, "rate {}", r.rate);
         // Just above the found rate must be infeasible.
-        let above = partition(&g, &prof, &platform, &cfg.clone().at_rate(r.rate * 1.05));
+        let above = partition_deployment(&g, &prof, &dep, &cfg.clone().at_rate(r.rate * 1.05));
         assert_eq!(above.unwrap_err(), PartitionError::Infeasible);
         // At the found rate, feasible.
-        let at = partition(&g, &prof, &platform, &cfg.clone().at_rate(r.rate));
+        let at = partition_deployment(&g, &prof, &dep, &cfg.at_rate(r.rate));
         assert!(at.is_ok());
     }
 
     #[test]
     fn powerful_platform_hits_the_cap() {
         let (g, prof) = profiled();
-        let platform = Platform::gumstix();
-        let cfg = PartitionConfig::for_platform(&platform);
-        let r = max_sustainable_rate(&g, &prof, &platform, &cfg, 8.0, 0.01)
-            .unwrap()
-            .expect("feasible");
+        let dep = binary(&Platform::gumstix());
+        let r = max_sustainable_rate_deployment(
+            &g,
+            &prof,
+            &dep,
+            &DeploymentConfig::default(),
+            8.0,
+            0.01,
+        )
+        .unwrap()
+        .expect("feasible");
         assert!(
             (r.rate - 8.0).abs() < 1e-9,
             "cap should be reached, got {}",
@@ -310,11 +270,17 @@ mod tests {
     #[test]
     fn whole_search_encodes_exactly_once() {
         let (g, prof) = profiled();
-        let platform = Platform::tmote_sky();
-        let cfg = PartitionConfig::for_platform(&platform);
-        let r = max_sustainable_rate(&g, &prof, &platform, &cfg, 64.0, 0.01)
-            .unwrap()
-            .expect("feasible at low rates");
+        let dep = binary(&Platform::tmote_sky());
+        let r = max_sustainable_rate_deployment(
+            &g,
+            &prof,
+            &dep,
+            &DeploymentConfig::default(),
+            64.0,
+            0.01,
+        )
+        .unwrap()
+        .expect("feasible at low rates");
         assert_eq!(
             r.encodes, 1,
             "one graph build + preprocess + encode for the whole search"
@@ -329,15 +295,15 @@ mod tests {
     #[test]
     fn prepared_partition_matches_one_shot() {
         let (g, prof) = profiled();
-        let platform = Platform::tmote_sky();
-        let cfg = PartitionConfig::for_platform(&platform);
-        let mut prep = PreparedPartition::new(&g, &prof, &platform, &cfg).unwrap();
+        let dep = binary(&Platform::tmote_sky());
+        let cfg = DeploymentConfig::default();
+        let mut prep = PreparedDeployment::new(&g, &prof, &dep, &cfg).unwrap();
         for rate in [0.02, 0.05, 0.25, 1.0] {
             let a = prep.solve_at(rate);
-            let b = partition(&g, &prof, &platform, &cfg.clone().at_rate(rate));
+            let b = partition_deployment(&g, &prof, &dep, &cfg.clone().at_rate(rate));
             match (a, b) {
                 (Ok(a), Ok(b)) => {
-                    assert_eq!(a.node_ops, b.node_ops, "rate {rate}");
+                    assert_eq!(a.leaves[0].site_ops, b.leaves[0].site_ops, "rate {rate}");
                     assert!(
                         (a.objective - b.objective).abs() < 1e-6 * (1.0 + b.objective.abs()),
                         "rate {rate}: {} vs {}",
@@ -358,12 +324,12 @@ mod tests {
         // The §4.3 search must land on the same rate whichever simplex
         // backend runs the probes, and report the backend it used.
         let (g, prof) = profiled();
-        let platform = Platform::tmote_sky();
+        let dep = binary(&Platform::tmote_sky());
         let mut rates = Vec::new();
         for backend in [SolverBackend::Dense, SolverBackend::Sparse] {
-            let mut cfg = PartitionConfig::for_platform(&platform);
+            let mut cfg = DeploymentConfig::default();
             cfg.ilp.backend = backend;
-            let r = max_sustainable_rate(&g, &prof, &platform, &cfg, 64.0, 0.01)
+            let r = max_sustainable_rate_deployment(&g, &prof, &dep, &cfg, 64.0, 0.01)
                 .unwrap()
                 .expect("feasible at low rates");
             assert_eq!(r.backend, backend, "forced backend must be reported");
@@ -380,27 +346,56 @@ mod tests {
     #[test]
     fn hopeless_program_returns_none() {
         let (g, prof) = profiled();
-        let platform = Platform::tmote_sky();
-        let mut cfg = PartitionConfig::for_platform(&platform);
-        cfg.cpu_budget = 0.0;
-        cfg.net_budget = 0.0;
-        assert!(max_sustainable_rate(&g, &prof, &platform, &cfg, 8.0, 0.01)
-            .unwrap()
-            .is_none());
+        let mote = Platform::tmote_sky();
+        let dep = Deployment::binary(
+            Site::new("motes", &mote).with_cpu_budget(0.0),
+            LinkSpec {
+                beta: 1.0,
+                net_budget: 0.0,
+            },
+        );
+        let cfg = DeploymentConfig::default();
+        assert!(
+            max_sustainable_rate_deployment(&g, &prof, &dep, &cfg, 8.0, 0.01)
+                .unwrap()
+                .is_none()
+        );
     }
 
     #[test]
     fn result_rate_is_nearly_maximal() {
         let (g, prof) = profiled();
-        let platform = Platform::nokia_n80();
-        let cfg = PartitionConfig::for_platform(&platform);
-        let r = max_sustainable_rate(&g, &prof, &platform, &cfg, 1024.0, 0.005)
+        let dep = binary(&Platform::nokia_n80());
+        let cfg = DeploymentConfig::default();
+        let r = max_sustainable_rate_deployment(&g, &prof, &dep, &cfg, 1024.0, 0.005)
             .unwrap()
             .expect("feasible");
         if r.rate < 1023.0 {
             // Tolerance respected: 1.5% above must fail.
-            let above = partition(&g, &prof, &platform, &cfg.clone().at_rate(r.rate * 1.015));
+            let above = partition_deployment(&g, &prof, &dep, &cfg.at_rate(r.rate * 1.015));
             assert_eq!(above.unwrap_err(), PartitionError::Infeasible);
+        }
+    }
+
+    #[test]
+    fn bad_search_bounds_are_typed_errors() {
+        let (g, prof) = profiled();
+        let dep = binary(&Platform::tmote_sky());
+        let cfg = DeploymentConfig::default();
+        for (hi_limit, tol) in [
+            (0.0, 0.01),
+            (-8.0, 0.01),
+            (f64::NAN, 0.01),
+            (f64::INFINITY, 0.01),
+            (8.0, 0.0),
+            (8.0, f64::NAN),
+            (8.0, -1.0),
+        ] {
+            let r = max_sustainable_rate_deployment(&g, &prof, &dep, &cfg, hi_limit, tol);
+            assert!(
+                matches!(r, Err(PartitionError::Invalid(_))),
+                "hi_limit {hi_limit}, tol {tol}: {r:?}"
+            );
         }
     }
 }

@@ -2,9 +2,9 @@
 //! mixed, and multi-tier partitioning.
 //!
 //! The paper's §9 sketches heterogeneous deployments ("run the
-//! partitioning algorithm once for each type of node"); PR 4 generalized
-//! the cut to tier *chains*. This module is the single entry point both
-//! of those grew into: a [`Deployment`] is a rooted tree of [`Site`]s —
+//! partitioning algorithm once for each type of node") and hierarchies of
+//! tiers. This module is the single partitioning pipeline: a
+//! [`Deployment`] is a rooted tree of [`Site`]s —
 //! each site a platform, a device count, and a CPU budget; each tree edge
 //! an uplink [`LinkSpec`] with its own radio framing (the child site's)
 //! and bandwidth budget. Every *leaf* site runs its own instance of the
@@ -12,24 +12,30 @@
 //! and tree edges are **shared**, so one joint ILP prices a gateway's CPU
 //! and uplink across every mote class routed through it.
 //!
-//! Special cases, each pinned by differential parity tests:
+//! Special cases, each pinned by differential parity tests against an
+//! independent encoder oracle:
 //!
-//! * a 2-site star (one leaf under the server) is the binary restricted
-//!   encoding, bit for bit — [`crate::partitioner::partition`];
-//! * a k-site path is [`crate::encodings::encode_multitier`] row for row
-//!   — [`crate::multitier::partition_multitier`];
+//! * a 2-site star ([`Deployment::binary`], the paper's §4.2 node/server
+//!   cut) is the binary restricted encoding
+//!   ([`crate::encodings::encode`] with [`Encoding::Restricted`]), bit for
+//!   bit;
+//! * a k-site path ([`Deployment::chain`]) is
+//!   [`crate::encodings::encode_multitier`] row for row;
 //! * a star of heterogeneous leaves decouples into one binary ILP per
-//!   leaf — [`crate::mixed::partition_mixed`];
+//!   leaf (the §9 mixed network): each leaf's placement equals that leaf
+//!   solved alone;
 //! * a genuine tree (many motes per gateway, many gateways per server,
-//!   each gateway with its own uplink budget) is new capability: the
-//!   branching topology the ROADMAP called for.
+//!   each gateway with its own uplink budget) shares gateway CPU and
+//!   uplink rows across every leaf class routed through them.
 //!
-//! [`PreparedDeployment`] keeps the `PreparedPartition` contract: graph
-//! build, per-leaf §4.1 merge, and encoding happen **once**; every rate
-//! probe rescales the prepared ILP in place on one reused
-//! [`SimplexWorkspace`], seeding branch-and-bound with the previous
-//! incumbent; [`max_sustainable_rate_deployment`] runs §4.3 on the shared
-//! `search_max_rate` skeleton.
+//! [`PreparedDeployment`] does the graph build, per-leaf §4.1 merge, and
+//! encoding **once**; every rate probe rescales the prepared ILP in place
+//! on one reused [`SimplexWorkspace`], seeding branch-and-bound with the
+//! previous incumbent; [`max_sustainable_rate_deployment`] runs the §4.3
+//! rate search over it.
+//!
+//! [`Encoding::Restricted`]: crate::encodings::Encoding::Restricted
+//! [`max_sustainable_rate_deployment`]: crate::rate_search::max_sustainable_rate_deployment
 
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -45,8 +51,8 @@ use wishbone_profile::{GraphProfile, Platform};
 use crate::cost_graph::Mode;
 use crate::encodings::TierObjective;
 use crate::encodings::{encode_deployment, DeploymentObjective, EncodedDeployment, LeafChain};
-use crate::multitier::{build_tiered_graph, preprocess_tiered, LinkSpec, MultiTierConfig};
-use crate::partitioner::{PartitionConfig, PartitionError};
+use crate::multitier::{build_tiered_graph, preprocess_tiered, LinkSpec};
+use crate::partitioner::PartitionError;
 
 /// Index of a [`Site`] within its [`Deployment`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -70,7 +76,8 @@ pub struct Site {
     pub cpu_budget: f64,
     /// Per-leaf input-rate factor relative to the profile's reference
     /// rate, multiplied with the global rate at solve time (meaningful on
-    /// leaf sites; mirrors `partition_mixed`'s per-class rates).
+    /// leaf sites: a mixed network's classes may sample at different
+    /// rates).
     pub rate_factor: f64,
 }
 
@@ -161,10 +168,11 @@ impl Deployment {
         id
     }
 
-    /// A path deployment mirroring [`MultiTierConfig::for_chain`]:
-    /// `platforms` innermost-first, every non-final platform budgeted at
-    /// its own CPU fraction and radio goodput, the final platform an
-    /// unconstrained server.
+    /// A path deployment in the paper's evaluation setting: `platforms`
+    /// innermost-first, every non-final platform budgeted at its own CPU
+    /// fraction and radio goodput (α = 0, β = 1), the final platform an
+    /// unconstrained server. `chain(&[p, Platform::server()])` is the
+    /// paper's §4.2 node/server split on `p`.
     pub fn chain(platforms: &[Platform]) -> Self {
         assert!(platforms.len() >= 2, "a chain needs at least two sites");
         let k = platforms.len();
@@ -186,56 +194,13 @@ impl Deployment {
         dep
     }
 
-    /// The exact path image of a [`MultiTierConfig`]: partitioning with
-    /// this deployment produces the same ILP as
-    /// [`crate::multitier::partition_multitier`], row for row.
-    pub fn from_multitier(cfg: &MultiTierConfig) -> Self {
-        let k = cfg.k();
-        let last = &cfg.tiers[k - 1];
-        let mut dep = Deployment::new(Site {
-            name: last.platform.name.clone(),
-            platform: last.platform.clone(),
-            count: 1,
-            alpha: last.alpha,
-            cpu_budget: last.cpu_budget,
-            rate_factor: 1.0,
-        });
-        let mut parent = dep.root();
-        for t in (0..k - 1).rev() {
-            let tier = &cfg.tiers[t];
-            parent = dep.attach(
-                parent,
-                Site {
-                    name: tier.platform.name.clone(),
-                    platform: tier.platform.clone(),
-                    count: 1,
-                    alpha: tier.alpha,
-                    cpu_budget: tier.cpu_budget,
-                    rate_factor: 1.0,
-                },
-                cfg.links[t],
-            );
-        }
-        dep
-    }
-
-    /// The exact 2-site star image of a binary [`PartitionConfig`] on
-    /// `node_platform`: one leaf under an unconstrained server, producing
-    /// the binary restricted encoding bit for bit (`cfg.encoding` is
-    /// ignored — monotone cuts *are* the restricted formulation).
-    pub fn binary(cfg: &PartitionConfig, node_platform: &Platform) -> Self {
+    /// The paper's §4.2 node/server split: `node` as the single leaf
+    /// under an unconstrained server, with `uplink` between them. This
+    /// 2-site star produces the binary restricted encoding bit for bit.
+    pub fn binary(node: Site, uplink: LinkSpec) -> Self {
         let mut dep = Deployment::new(Site::server("server", &Platform::server()));
         let root = dep.root();
-        dep.attach(
-            root,
-            Site::new(node_platform.name.clone(), node_platform)
-                .with_alpha(cfg.alpha)
-                .with_cpu_budget(cfg.cpu_budget),
-            LinkSpec {
-                beta: cfg.beta,
-                net_budget: cfg.net_budget,
-            },
-        );
+        dep.attach(root, node, uplink);
         dep
     }
 
@@ -659,10 +624,7 @@ struct PreparedLeaf {
 }
 
 /// A tree-deployment instance prepared for repeated solves at varying
-/// input rates — the topology-first sibling of
-/// [`PreparedPartition`](crate::partitioner::PreparedPartition) and the
-/// engine both it and `PreparedMultiTier` now delegate to. Same
-/// contract: graph build, per-leaf merge, and encoding happen once; every
+/// input rates. Graph build, per-leaf merge, and encoding happen once; every
 /// probe rescales the prepared ILP in place (objective × rate, budget
 /// right-hand sides ÷ rate) on one reused [`SimplexWorkspace`], seeding
 /// branch-and-bound with the previous incumbent.
@@ -1067,7 +1029,8 @@ impl<'a> PreparedDeployment<'a> {
 
     /// Solve the prepared instance at `rate` (a global multiplier on the
     /// profile's reference input rate, composed with each leaf's
-    /// `rate_factor`).
+    /// `rate_factor`). A non-finite or non-positive `rate` is
+    /// [`PartitionError::Invalid`].
     pub fn solve_at(&mut self, rate: f64) -> Result<DeploymentPartition, PartitionError> {
         let mut ws = std::mem::take(&mut self.workspace);
         let out = self.solve_at_in(rate, &mut ws);
@@ -1086,7 +1049,13 @@ impl<'a> PreparedDeployment<'a> {
         rate: f64,
         ws: &mut SimplexWorkspace,
     ) -> Result<DeploymentPartition, PartitionError> {
-        assert!(rate > 0.0, "rate multiplier must be positive");
+        // Checked before any state changes, so a rejected request leaves
+        // the prepared instance (a fleet cache entry) as it was.
+        if !(rate.is_finite() && rate > 0.0) {
+            return Err(PartitionError::Invalid(
+                "rate multiplier must be finite and positive",
+            ));
+        }
         self.solves += 1;
         self.retarget(rate);
 
@@ -1235,79 +1204,11 @@ impl<'a> PreparedDeployment<'a> {
     }
 }
 
-/// Result of the topology-aware §4.3 rate search.
-#[derive(Debug, Clone)]
-pub struct DeploymentRateResult {
-    /// Highest feasible global rate multiplier found.
-    pub rate: f64,
-    /// The optimal placement at that rate.
-    pub partition: DeploymentPartition,
-    /// ILP solves consumed.
-    pub evaluations: u32,
-    /// Encodings performed — always 1 (probes rescale in place).
-    pub encodes: u32,
-    /// The simplex backend every probe ran on (resolved, never `Auto`).
-    pub backend: SolverBackend,
-    /// The lowest probed rate whose solve timed out without proving
-    /// anything — when `Some`, [`DeploymentRateResult::rate`] is only a
-    /// proven lower bound on the sustainable rate (see
-    /// [`crate::rate_search::UnprovenRate`]).
-    pub unproven: Option<crate::rate_search::UnprovenRate>,
-}
-
-/// Binary-search the maximum sustainable global rate multiplier of a
-/// deployment in `(0, hi_limit]` to relative precision `tol` — §4.3 on
-/// the shared `search_max_rate` skeleton, every probe solving one
-/// prepared deployment ILP in place.
-///
-/// Returns `None` if the deployment is infeasible even at vanishingly
-/// small rates; solver errors propagate.
-pub fn max_sustainable_rate_deployment(
-    graph: &Graph,
-    profile: &GraphProfile,
-    dep: &Deployment,
-    cfg: &DeploymentConfig,
-    hi_limit: f64,
-    tol: f64,
-) -> Result<Option<DeploymentRateResult>, PartitionError> {
-    use crate::rate_search::{ProbeOutcome, SearchOutcome};
-    let mut prep = PreparedDeployment::new(graph, profile, dep, cfg)?;
-    let outcome = crate::rate_search::search_max_rate(
-        |rate| match prep.solve_at(rate) {
-            Ok(p) => Ok(ProbeOutcome::Feasible(p)),
-            Err(PartitionError::Infeasible) => Ok(ProbeOutcome::Infeasible),
-            Err(PartitionError::Unproven { best_bound }) => {
-                Ok(ProbeOutcome::Unproven { best_bound })
-            }
-            Err(e) => Err(e),
-        },
-        hi_limit,
-        tol,
-    )?;
-    match outcome {
-        SearchOutcome::Found {
-            rate,
-            best,
-            evaluations,
-            unproven,
-        } => Ok(Some(DeploymentRateResult {
-            rate,
-            partition: best,
-            evaluations,
-            encodes: prep.encodes(),
-            backend: prep.solver_backend(),
-            unproven,
-        })),
-        SearchOutcome::Infeasible => Ok(None),
-        SearchOutcome::FloorUnproven(u) => Err(PartitionError::Unproven {
-            best_bound: u.best_bound,
-        }),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::encodings::encode_multitier;
+    use crate::rate_search::max_sustainable_rate_deployment;
     use wishbone_dataflow::{ExecCtx, FnWork, GraphBuilder, Value};
     use wishbone_profile::{profile as run_profile, SourceTrace};
 
@@ -1429,6 +1330,9 @@ mod tests {
         );
     }
 
+    /// A 3-site path solves `encode_multitier`'s chain encoding: same
+    /// variables, rows, and coefficients at unit rate, and the same
+    /// verdict, placement, and objective at every probed rate.
     #[test]
     fn chain_deployment_matches_multitier_row_for_row() {
         let (g, prof) = profiled();
@@ -1437,21 +1341,60 @@ mod tests {
             Platform::iphone(),
             Platform::server(),
         ];
-        let mt_cfg = MultiTierConfig::for_chain(&chain);
-        let mut mt_prep = crate::multitier::PreparedMultiTier::new(&g, &prof, &mt_cfg).unwrap();
         let dep = Deployment::chain(&chain);
+        let leaf = dep.leaves()[0];
+        let tobj = dep.leaf_objective(leaf);
+        let tg0 = build_tiered_graph(&g, &prof, &chain, Mode::Permissive, 1.0).unwrap();
+        let tg = preprocess_tiered(&tg0, &tobj).unwrap().graph;
         let mut prep =
             PreparedDeployment::new(&g, &prof, &dep, &DeploymentConfig::default()).unwrap();
-        assert_eq!(prep.problem_size(), mt_prep.problem_size());
+
+        let oracle = encode_multitier(&tg, &tobj).problem;
+        let ours = prep.problem();
+        assert_eq!(ours.num_vars(), oracle.num_vars());
+        assert_eq!(ours.num_constraints(), oracle.num_constraints());
+        for j in 0..oracle.num_vars() {
+            let v = VarId(j);
+            assert_eq!(
+                ours.objective_coeff(v).to_bits(),
+                oracle.objective_coeff(v).to_bits()
+            );
+        }
+        for i in 0..oracle.num_constraints() {
+            let (a, b) = (ours.constraint(i), oracle.constraint(i));
+            assert_eq!(
+                (a.sense, a.rhs.to_bits()),
+                (b.sense, b.rhs.to_bits()),
+                "row {i}"
+            );
+            assert_eq!(a.terms, b.terms, "row {i}");
+        }
+
         for rate in [0.1, 0.5, 2.0] {
-            match (prep.solve_at(rate), mt_prep.solve_at(rate)) {
+            let scaled = TierObjective {
+                cpu_budget: tobj.cpu_budget.iter().map(|c| c / rate).collect(),
+                net_budget: tobj.net_budget.iter().map(|n| n / rate).collect(),
+                ..tobj.clone()
+            };
+            let ep = encode_multitier(&tg, &scaled);
+            match (
+                prep.solve_at(rate),
+                ep.problem.solve_ilp(&IlpOptions::default()),
+            ) {
                 (Ok(d), Ok(m)) => {
-                    assert_eq!(d.leaves[0].site_ops, m.tier_ops, "rate {rate}");
-                    assert_eq!(d.leaves[0].link_cut_edges, m.link_cut_edges);
-                    assert!((d.objective - m.objective).abs() < 1e-9 * (1.0 + m.objective.abs()));
+                    let tiers = tg.op_tiers(&ep.decode(&m.values), g.operator_count());
+                    for id in g.operator_ids() {
+                        assert_eq!(
+                            d.leaves[0].position_of(id),
+                            Some(tiers[id.0]),
+                            "rate {rate}"
+                        );
+                    }
+                    let want = (m.objective + ep.objective_offset) * rate;
+                    assert!((d.objective - want).abs() < 1e-9 * (1.0 + want.abs()));
                 }
-                (Err(d), Err(m)) => assert_eq!(d, m),
-                (d, m) => panic!("rate {rate}: deployment {d:?} vs multitier {m:?}"),
+                (Err(d), Err(_)) => assert_eq!(d, PartitionError::Infeasible),
+                (d, m) => panic!("rate {rate}: deployment {d:?} vs chain oracle {m:?}"),
             }
         }
     }
@@ -1482,8 +1425,8 @@ mod tests {
         // Two mote classes behind ONE gateway whose CPU budget fits
         // hosting the pipeline for exactly one class: the joint ILP must
         // give the gateway to one class and push the other's work to the
-        // server. partition_mixed cannot express this — its per-class
-        // solves would both claim the gateway.
+        // server. Solving each class on its own cannot express this —
+        // both per-class solves would claim the gateway.
         let (g, prof) = profiled();
         let phone = Platform::iphone();
         let mote = Platform::tmote_sky();
@@ -1622,62 +1565,98 @@ mod tests {
         assert_eq!(prep.solves(), 4);
     }
 
-    #[test]
-    fn per_leaf_rate_factors_mirror_mixed_classes() {
-        let (g, prof) = profiled();
-        // Star: two leaf classes at different rates directly under the
-        // server — the joint solve must reproduce partition_mixed.
+    /// Two heterogeneous leaf classes directly under the server at
+    /// different rates (the paper's §9 mixed network).
+    fn mixed_star(weak_count: usize, strong_count: usize) -> Deployment {
         let mote = Platform::tmote_sky();
         let strong = Platform::gumstix();
-        let mote_cfg = PartitionConfig::for_platform(&mote).at_rate(0.05);
-        let strong_cfg = PartitionConfig::for_platform(&strong);
         let mut dep = Deployment::new(Site::server("server", &Platform::server()));
         let root = dep.root();
         dep.attach(
             root,
             Site::new("motes", &mote)
-                .with_cpu_budget(mote_cfg.cpu_budget)
+                .with_count(weak_count)
                 .at_rate(0.05),
             LinkSpec {
                 beta: 1.0,
-                net_budget: mote_cfg.net_budget,
+                net_budget: weak_count as f64 * mote.radio.goodput_bytes_per_sec,
             },
         );
         dep.attach(
             root,
-            Site::new("microservers", &strong).with_cpu_budget(strong_cfg.cpu_budget),
+            Site::new("microservers", &strong).with_count(strong_count),
             LinkSpec {
                 beta: 1.0,
-                net_budget: strong_cfg.net_budget,
+                net_budget: strong_count as f64 * strong.radio.goodput_bytes_per_sec,
             },
         );
+        dep
+    }
+
+    #[test]
+    fn per_leaf_rate_factors_mirror_mixed_classes() {
+        // A star shares nothing but the unconstrained server, so the
+        // joint solve decouples: every leaf's placement is that leaf
+        // solved alone, and the objectives add up.
+        let (g, prof) = profiled();
+        let dep = mixed_star(1, 1);
+        let cfg = DeploymentConfig::default();
+        let part = partition_deployment(&g, &prof, &dep, &cfg).expect("feasible");
+        let mut alone_objective = 0.0;
+        for (leaf, joint) in dep.leaves().into_iter().zip(&part.leaves) {
+            let site = dep.site(leaf).clone();
+            let uplink = *dep.uplink(leaf).unwrap();
+            let alone = partition_deployment(&g, &prof, &Deployment::binary(site, uplink), &cfg)
+                .expect("each class fits alone");
+            assert_eq!(joint.site_ops, alone.leaves[0].site_ops);
+            alone_objective += alone.objective;
+        }
+        assert!((part.objective - alone_objective).abs() < 1e-9 * (1.0 + alone_objective));
+    }
+
+    #[test]
+    fn classes_get_different_physical_partitions() {
+        let (g, prof) = profiled();
+        let dep = mixed_star(10, 2);
         let part =
             partition_deployment(&g, &prof, &dep, &DeploymentConfig::default()).expect("feasible");
-        let mixed = crate::mixed::partition_mixed(
-            &g,
-            &prof,
-            &[
-                crate::mixed::NodeClass {
-                    platform: mote.clone(),
-                    count: 1,
-                    config: mote_cfg,
-                },
-                crate::mixed::NodeClass {
-                    platform: strong.clone(),
-                    count: 1,
-                    config: strong_cfg,
-                },
-            ],
-        )
-        .unwrap();
-        assert_eq!(
-            part.leaves[0].site_ops[0],
-            mixed.classes[0].partition.node_ops
-        );
-        assert_eq!(
-            part.leaves[1].site_ops[0],
-            mixed.classes[1].partition.node_ops
-        );
+        assert_eq!(part.leaves.len(), 2);
+        // The strong class runs at 20x the rate and still fits everything;
+        // the weak class may or may not carry the heavy stage — but the
+        // strong class must carry at least as much as the weak one.
+        let (weak, strong) = (&part.leaves[0], &part.leaves[1]);
+        assert!(strong.site_ops[0].len() >= weak.site_ops[0].len());
+        // The server must accept elements at every "stage of partial
+        // processing" some class cuts at, and host everything any class
+        // leaves behind.
+        assert!(part.leaves.iter().any(|l| !l.link_cut_edges[0].is_empty()));
+        let server_side = part.ops_at(dep.root());
+        for leaf in &part.leaves {
+            for id in g.operator_ids() {
+                if !leaf.site_ops[0].contains(&id) {
+                    assert!(server_side.contains(&id));
+                }
+            }
+        }
+        assert!(part.link_net.iter().sum::<f64>() > 0.0);
+    }
+
+    #[test]
+    fn bad_rates_are_typed_errors_and_leave_the_instance_untouched() {
+        let (g, prof) = profiled();
+        let dep = forest(1e5, 1e6);
+        let cfg = DeploymentConfig::default();
+        let mut prep = PreparedDeployment::new(&g, &prof, &dep, &cfg).unwrap();
+        for rate in [0.0, -1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(
+                matches!(prep.solve_at(rate), Err(PartitionError::Invalid(_))),
+                "rate {rate}"
+            );
+        }
+        assert_eq!(prep.solves(), 0, "rejected rates are not solves");
+        let a = prep.solve_at(0.2).expect("feasible");
+        let b = partition_deployment(&g, &prof, &dep, &cfg.at_rate(0.2)).expect("feasible");
+        assert_eq!(a.objective.to_bits(), b.objective.to_bits());
     }
 
     #[test]

@@ -20,17 +20,20 @@ fn main() {
     let prof = profile(&mut app.graph, &traces).expect("profiling succeeds");
 
     let mote = Platform::tmote_sky();
+    let n80 = Platform::nokia_n80();
+    let node_server = |p: &Platform| Deployment::chain(&[p.clone(), Platform::server()]);
 
     // One partition at a moderate rate, with solver statistics.
-    let cfg = PartitionConfig::for_platform(&mote).at_rate(0.5);
-    match partition(&app.graph, &prof, &mote, &cfg) {
+    let cfg = DeploymentConfig::default();
+    match partition_deployment(&app.graph, &prof, &node_server(&mote), &cfg.at_rate(0.5)) {
         Ok(part) => {
+            let node = &part.leaves[0];
             println!(
                 "\nrate x0.5: {} of {} operators on the node, cpu {:.1}%, net {:.0} B/s",
-                part.node_op_count(),
+                node.site_ops[0].len(),
                 app.graph.operator_count(),
-                part.predicted_cpu * 100.0,
-                part.predicted_net
+                node.predicted_cpu[0] * 100.0,
+                node.predicted_net[0]
             );
             println!(
                 "preprocessing merged {} vertices down to {}; ILP had {} vars / {} constraints",
@@ -60,15 +63,14 @@ fn main() {
     // pure safety net for the feasible-but-hard cells.
     println!("\noperators in optimal node partition vs input rate:");
     println!("{:>8} {:>10} {:>10}", "rate", "TMoteSky", "NokiaN80");
-    let n80 = Platform::nokia_n80();
-    let mut cfg = PartitionConfig::for_platform(&mote);
+    let mut cfg = DeploymentConfig::default();
     cfg.ilp.time_limit = Some(std::time::Duration::from_secs(2));
-    let mut prep_mote =
-        PreparedPartition::new(&app.graph, &prof, &mote, &cfg).expect("pin analysis succeeds");
-    let mut cfg_n80 = PartitionConfig::for_platform(&n80);
-    cfg_n80.ilp.time_limit = Some(std::time::Duration::from_secs(2));
-    let mut prep_n80 =
-        PreparedPartition::new(&app.graph, &prof, &n80, &cfg_n80).expect("pin analysis succeeds");
+    let prepare = |p: &Platform| {
+        PreparedDeployment::new(&app.graph, &prof, &node_server(p), &cfg)
+            .expect("pin analysis succeeds")
+    };
+    let mut prep_mote = prepare(&mote);
+    let mut prep_n80 = prepare(&n80);
     if std::env::args().any(|a| a == "--audit") {
         for (prep, name) in [(&prep_mote, "TMoteSky"), (&prep_n80, "NokiaN80")] {
             let report = prep.audit();
@@ -78,7 +80,7 @@ fn main() {
     }
     let mut sweep_stats: Vec<(String, u64, u64)> = Vec::new();
     for mult in [0.25, 0.5, 1.0, 2.0, 4.0, 8.0] {
-        let mut count = |prep: &mut PreparedPartition, name: &str| -> String {
+        let mut count = |prep: &mut PreparedDeployment, name: &str| -> String {
             match prep.solve_at(mult) {
                 Ok(part) => {
                     sweep_stats.push((
@@ -86,7 +88,7 @@ fn main() {
                         part.ilp_stats.warm_starts,
                         part.ilp_stats.cold_starts,
                     ));
-                    part.node_op_count().to_string()
+                    part.leaves[0].site_ops[0].len().to_string()
                 }
                 Err(_) => "-".into(),
             }

@@ -1,13 +1,13 @@
 //! A genuinely branching deployment: two wards of EEG caps, two
-//! gateways, one server — the topology the binary, mixed, and chain
-//! partitioners cannot express.
+//! gateways, one server — a topology no binary cut, star, or chain can
+//! express.
 //!
 //! Each ward is 20 caps of 11-channel EEG montages on telos-class motes,
 //! docked to one ward gateway; the gateways share nothing but the clinic
 //! server. Gateway A's backhaul is a metered 100 B/s 2G link, gateway
 //! B's a roomy WiFi one. The gateway's uplink row aggregates all 20
-//! caps' streams — the count-weighted coupling `partition_mixed` cannot
-//! see — so the starved backhaul constrains *only* subtree A. Driven
+//! caps' streams — the count-weighted coupling that solving each node
+//! class on its own cannot see — so the starved backhaul constrains *only* subtree A. Driven
 //! well past A's sustainable rate, `simulate_deployment_tree` shows
 //! goodput collapsing on A's subtree while B keeps streaming.
 //!

@@ -7,7 +7,8 @@
 //!
 //! Run with: `cargo run --release --example mixed_network`
 
-use wishbone::core::{partition_mixed, NodeClass};
+use std::collections::HashSet;
+
 use wishbone::prelude::*;
 
 fn main() {
@@ -15,59 +16,71 @@ fn main() {
     let trace = app.trace(120, 7);
     let prof = profile(&mut app.graph, &[trace]).expect("profiling succeeds");
 
+    // One leaf class per node type under the server. Each class's uplink
+    // is budgeted at its per-node radio goodput times its node count.
     let mote = Platform::tmote_sky();
     let gumstix = Platform::gumstix();
-    let classes = vec![
-        NodeClass {
-            // Motes run at a reduced rate (their radio share of the channel).
-            config: PartitionConfig::for_platform(&mote)
-                .with_measured_overheads(&mote)
-                .at_rate(0.1),
-            platform: mote,
-            count: 16,
+    let mut dep = Deployment::new(Site::server("server", &Platform::server()));
+    let root = dep.root();
+    dep.attach(
+        root,
+        // Motes run at a reduced rate (their radio share of the channel),
+        // with the CPU budget derated by the measured OS overhead.
+        Site::new(mote.name.clone(), &mote)
+            .with_count(16)
+            .with_cpu_budget(mote.cpu_budget_fraction / mote.os_overhead)
+            .at_rate(0.1),
+        LinkSpec {
+            beta: 1.0,
+            net_budget: 16.0 * mote.radio.goodput_bytes_per_sec,
         },
-        NodeClass {
-            config: PartitionConfig::for_platform(&gumstix),
-            platform: gumstix,
-            count: 4,
+    );
+    dep.attach(
+        root,
+        Site::new(gumstix.name.clone(), &gumstix).with_count(4),
+        LinkSpec {
+            beta: 1.0,
+            net_budget: 4.0 * gumstix.radio.goodput_bytes_per_sec,
         },
-    ];
+    );
 
-    let mixed = partition_mixed(&app.graph, &prof, &classes).expect("both classes partition");
+    let part = partition_deployment(&app.graph, &prof, &dep, &DeploymentConfig::default())
+        .expect("both classes partition");
     println!("mixed deployment: one logical program, two physical partitions\n");
-    for c in &mixed.classes {
+    for leaf in &part.leaves {
+        let site = dep.site(leaf.leaf);
         let last = app
             .stages
             .iter()
             .rev()
-            .find(|(_, id)| c.partition.node_ops.contains(id))
+            .find(|(_, id)| leaf.site_ops[0].contains(id))
             .map(|&(n, _)| n)
             .unwrap_or("nothing");
         println!(
             "{:>9} x{:<3} -> {} ops on-node (cut after '{}'), cpu {:.1}%, net {:.0} B/s",
-            c.platform_name,
-            c.count,
-            c.partition.node_op_count(),
+            site.name,
+            site.count,
+            leaf.site_ops[0].len(),
             last,
-            c.partition.predicted_cpu * 100.0,
-            c.partition.predicted_net
-        );
-        println!(
-            "{:>13} solver: {}",
-            "",
-            report_stats(&c.partition.ilp_stats)
+            leaf.predicted_cpu[0] * 100.0,
+            leaf.predicted_net[0]
         );
     }
+    println!("solver (one joint ILP): {}", report_stats(&part.ilp_stats));
+    let entry: HashSet<_> = part
+        .leaves
+        .iter()
+        .flat_map(|l| l.link_cut_edges[0].iter().copied())
+        .collect();
     println!(
         "\nserver must accept partial results at {} distinct cut edges; \
          aggregate offered load {:.0} B/s",
-        mixed.server_entry_edges.len(),
-        mixed.total_predicted_net()
+        entry.len(),
+        part.link_net.iter().sum::<f64>()
     );
-    let union = mixed.server_side_union(&app.graph);
     println!(
         "server-side code covers {} of {} operators (union across classes)",
-        union.len(),
+        part.ops_at(root).len(),
         app.graph.operator_count()
     );
 }

@@ -21,17 +21,31 @@ fn main() {
         netprof.max_aggregate_payload_rate
     );
 
-    // 2. Binary search over data rates (§4.3).
-    let mut cfg = PartitionConfig::for_platform(&mote);
-    cfg.net_budget = netprof.max_aggregate_payload_rate;
-    let result = max_sustainable_rate(&app.graph, &prof, &mote, &cfg, 8.0, 0.01)
-        .expect("solver ok")
-        .expect("feasible at low rate");
+    // 2. Binary search over data rates (§4.3), with the uplink budgeted
+    // at the measured network profile.
+    let dep = Deployment::binary(
+        Site::new(mote.name.clone(), &mote),
+        LinkSpec {
+            beta: 1.0,
+            net_budget: netprof.max_aggregate_payload_rate,
+        },
+    );
+    let result = max_sustainable_rate_deployment(
+        &app.graph,
+        &prof,
+        &dep,
+        &DeploymentConfig::default(),
+        8.0,
+        0.01,
+    )
+    .expect("solver ok")
+    .expect("feasible at low rate");
+    let node_ops = &result.partition.leaves[0].site_ops[0];
     let recommended = app
         .stages
         .iter()
         .rev()
-        .find(|(_, id)| result.partition.node_ops.contains(id))
+        .find(|(_, id)| node_ops.contains(id))
         .map(|&(n, _)| n)
         .unwrap();
     println!(

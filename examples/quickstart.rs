@@ -32,22 +32,26 @@ fn main() {
         println!("{name:<12} {us:>14.1} {bw:>16.0}");
     }
 
-    // 3. Partition. At the full 8 kHz rate nothing fits on a TMote, so ask
+    // 3. Partition between the motes and the server (the paper's 2-site
+    // deployment). At the full 8 kHz rate nothing fits on a TMote, so ask
     // Wishbone for the best partition at 1/8 rate.
-    let cfg = PartitionConfig::for_platform(&mote).at_rate(0.125);
-    match partition(&app.graph, &prof, &mote, &cfg) {
+    let dep = Deployment::chain(&[mote.clone(), Platform::server()]);
+    let rate = 0.125;
+    let cfg = DeploymentConfig::default().at_rate(rate);
+    match partition_deployment(&app.graph, &prof, &dep, &cfg) {
         Ok(part) => {
+            let motes = &part.leaves[0];
             let names: Vec<&str> = app
                 .stages
                 .iter()
-                .filter(|(_, id)| part.node_ops.contains(id))
+                .filter(|(_, id)| motes.site_ops[0].contains(id))
                 .map(|&(n, _)| n)
                 .collect();
             println!("\noptimal node partition at 1/8 rate: {names:?}");
             println!(
                 "predicted: {:.1}% CPU, {:.0} B/s over the radio (objective {:.1})",
-                part.predicted_cpu * 100.0,
-                part.predicted_net,
+                motes.predicted_cpu[0] * 100.0,
+                motes.predicted_net[0],
                 part.objective
             );
             println!(
@@ -63,17 +67,11 @@ fn main() {
                 &app.graph,
                 &DotOptions {
                     heat: prof.heat(&mote),
-                    node_partition: part.node_ops.iter().copied().collect(),
+                    node_partition: motes.site_ops[0].iter().copied().collect(),
                     label: "speech detection on TMote Sky (1/8 rate)".into(),
-                    cut_bandwidth: part
-                        .cut_edges
+                    cut_bandwidth: motes.link_cut_edges[0]
                         .iter()
-                        .map(|&e| {
-                            (
-                                e,
-                                prof.edge_on_air_bandwidth(e, &mote) * cfg.rate_multiplier,
-                            )
-                        })
+                        .map(|&e| (e, prof.edge_on_air_bandwidth(e, &mote) * rate))
                         .collect(),
                     ..Default::default()
                 },

@@ -37,12 +37,14 @@
 //! let trace = app.trace(40, 1);
 //! let prof = profile(&mut app.graph, &[trace]).unwrap();
 //!
-//! // Partition it for a TMote Sky at 1/8 of the full 8 kHz rate.
-//! let mote = Platform::tmote_sky();
-//! let cfg = PartitionConfig::for_platform(&mote).at_rate(0.125);
-//! let part = partition(&app.graph, &prof, &mote, &cfg).unwrap();
-//! assert!(part.node_ops.contains(&app.source));
-//! assert!(part.predicted_cpu <= 1.0);
+//! // Partition it for a TMote Sky at 1/8 of the full 8 kHz rate: the
+//! // paper's node/server split is a 2-site deployment.
+//! let dep = Deployment::chain(&[Platform::tmote_sky(), Platform::server()]);
+//! let cfg = DeploymentConfig::default().at_rate(0.125);
+//! let part = partition_deployment(&app.graph, &prof, &dep, &cfg).unwrap();
+//! let motes = &part.leaves[0];
+//! assert!(motes.site_ops[0].contains(&app.source));
+//! assert!(motes.predicted_cpu[0] <= 1.0);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -70,14 +72,11 @@ pub mod prelude {
     pub use wishbone_audit::{AuditCode, AuditReport, Diagnostic, Severity};
     pub use wishbone_core::{
         all_node, all_server, build_partition_graph, drift_to_deltas, evaluate, greedy,
-        max_sustainable_rate, max_sustainable_rate_deployment, max_sustainable_rate_multitier,
-        partition, partition_approx, partition_deployment, partition_multitier, pin_analysis,
+        max_sustainable_rate_deployment, partition_approx, partition_deployment, pin_analysis,
         pipeline_cutpoints, preprocess, ApproxCut, Deployment, DeploymentConfig, DeploymentDelta,
         DeploymentPartition, DeploymentRateResult, Encoding, LeafPartition, LinkSpec, Mode,
-        MultiTierConfig, MultiTierPartition, MultiTierRateResult, ObjectiveConfig, Partition,
-        PartitionConfig, PartitionError, PartitionGraph, Pin, PlacementEngine, PreparedDeployment,
-        PreparedMultiTier, PreparedPartition, RateSearchResult, RobustnessMode, Site, SiteId,
-        TierSpec, UnprovenRate,
+        ObjectiveConfig, PartitionError, PartitionGraph, Pin, PlacementEngine, PreparedDeployment,
+        RobustnessMode, Site, SiteId, UnprovenRate,
     };
     pub use wishbone_core::{deltas_between, shape_key, ShapeKey};
     pub use wishbone_dataflow::{

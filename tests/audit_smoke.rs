@@ -4,6 +4,7 @@
 //! backends, before and after solving (rate re-targeting rewrites
 //! budget right-hand sides in place — the structure must survive it).
 
+use wishbone::core::{audit_binary, encode};
 use wishbone::ilp::SolverBackend;
 use wishbone::prelude::*;
 
@@ -29,13 +30,14 @@ fn fig6_multitier_audits_clean_on_both_backends() {
         Platform::iphone(),
         Platform::server(),
     ];
+    let dep = Deployment::chain(&chain);
     for backend in [SolverBackend::Dense, SolverBackend::Sparse] {
-        let mut cfg = MultiTierConfig::for_chain(&chain);
+        let mut cfg = DeploymentConfig::default();
         cfg.ilp.backend = backend;
         cfg.ilp.rel_gap = 0.025;
         cfg.ilp.time_limit = Some(std::time::Duration::from_secs(5));
         let mut prep =
-            PreparedMultiTier::new(&app.graph, &prof, &cfg).expect("pin analysis succeeds");
+            PreparedDeployment::new(&app.graph, &prof, &dep, &cfg).expect("pin analysis succeeds");
         let report = prep.audit();
         assert!(
             !report.has_errors(),
@@ -111,9 +113,9 @@ fn forest_deployment_audits_clean_on_both_backends() {
     }
 }
 
-/// The binary encodings behind `partition()` audit clean too, through
-/// the prepared pipeline (restricted tree encoder and general DAG
-/// encoder both).
+/// The binary node/server split audits clean too: through the prepared
+/// pipeline (a 2-site deployment), and as the §4.2.1 restricted and
+/// general oracle encoders of the same merged graph.
 #[test]
 fn binary_prepared_partitions_audit_clean() {
     let mut app = build_eeg_app(EegParams {
@@ -123,12 +125,23 @@ fn binary_prepared_partitions_audit_clean() {
     let traces = app.traces(8, 3..6, 5);
     let prof = profile(&mut app.graph, &traces).expect("profiling succeeds");
     let mote = Platform::tmote_sky();
+    let dep = Deployment::chain(&[mote.clone(), Platform::server()]);
+    let mut prep = PreparedDeployment::new(&app.graph, &prof, &dep, &DeploymentConfig::default())
+        .expect("pin analysis succeeds");
+    let _ = prep.solve_at(0.25);
+    let report = prep.audit();
+    assert!(
+        !report.has_errors(),
+        "2-site deployment encoding rejected:\n{report}"
+    );
+
+    let pg = build_partition_graph(&app.graph, &prof, &mote, Mode::Permissive, 1.0)
+        .expect("pin analysis succeeds");
+    let pg = preprocess(&pg).expect("merge succeeds").graph;
+    let obj =
+        ObjectiveConfig::bandwidth_only(mote.cpu_budget_fraction, mote.radio.goodput_bytes_per_sec);
     for encoding in [Encoding::Restricted, Encoding::General] {
-        let mut cfg = PartitionConfig::for_platform(&mote).at_rate(0.25);
-        cfg.encoding = encoding;
-        let prep =
-            PreparedPartition::new(&app.graph, &prof, &mote, &cfg).expect("pin analysis succeeds");
-        let report = prep.audit();
+        let report = audit_binary(&encode(&pg, encoding, &obj));
         assert!(
             !report.has_errors(),
             "{encoding:?}: binary encoding rejected:\n{report}"

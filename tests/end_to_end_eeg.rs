@@ -4,6 +4,22 @@
 
 use wishbone::prelude::*;
 
+/// Partition `graph` between TMote Sky nodes and the server at `rate`.
+fn partition_tmote(
+    graph: &Graph,
+    prof: &GraphProfile,
+    rate: f64,
+    mode: Mode,
+) -> Result<LeafPartition, PartitionError> {
+    let dep = Deployment::chain(&[Platform::tmote_sky(), Platform::server()]);
+    let cfg = DeploymentConfig {
+        mode,
+        ..DeploymentConfig::default()
+    };
+    let part = partition_deployment(graph, prof, &dep, &cfg.at_rate(rate))?;
+    Ok(part.leaves.into_iter().next().expect("one leaf class"))
+}
+
 #[test]
 fn full_eeg_app_partitions_in_reasonable_time() {
     // §7.1: "partitioning all 22-channels (1412 operators)"; our build is
@@ -15,10 +31,10 @@ fn full_eeg_app_partitions_in_reasonable_time() {
     let traces = app.traces(6, 2..4, 3);
     let prof = profile(&mut app.graph, &traces).unwrap();
 
-    let mote = Platform::tmote_sky();
-    let cfg = PartitionConfig::for_platform(&mote).at_rate(1.0);
+    let dep = Deployment::chain(&[Platform::tmote_sky(), Platform::server()]);
     let start = std::time::Instant::now();
-    let part = partition(&app.graph, &prof, &mote, &cfg).expect("feasible at reference rate");
+    let part = partition_deployment(&app.graph, &prof, &dep, &DeploymentConfig::default())
+        .expect("feasible at reference rate");
     let elapsed = start.elapsed();
     assert!(
         elapsed.as_secs_f64() < 60.0,
@@ -35,7 +51,7 @@ fn full_eeg_app_partitions_in_reasonable_time() {
     );
     // Sources always stay on the node.
     for s in &app.sources {
-        assert!(part.node_ops.contains(s));
+        assert!(part.leaves[0].site_ops[0].contains(s));
     }
 }
 
@@ -46,12 +62,10 @@ fn node_partition_shrinks_with_rate() {
     let mut app = build_eeg_channel();
     let traces = app.traces(6, 2..4, 7);
     let prof = profile(&mut app.graph, &traces).unwrap();
-    let mote = Platform::tmote_sky();
     let mut counts = Vec::new();
     for mult in [0.5, 2.0, 8.0, 32.0] {
-        let cfg = PartitionConfig::for_platform(&mote).at_rate(mult);
-        let n = match partition(&app.graph, &prof, &mote, &cfg) {
-            Ok(p) => p.node_op_count(),
+        let n = match partition_tmote(&app.graph, &prof, mult, Mode::Permissive) {
+            Ok(p) => p.site_ops[0].len(),
             Err(PartitionError::Infeasible) => 0,
             Err(e) => panic!("{e}"),
         };
@@ -71,22 +85,16 @@ fn conservative_mode_keeps_stateful_ops_on_the_node() {
     let mut app = build_eeg_channel();
     let traces = app.traces(6, 2..4, 11);
     let prof = profile(&mut app.graph, &traces).unwrap();
-    let mote = Platform::tmote_sky();
 
     // Permissive at a high rate: the FIRs (stateful) may move server-side.
-    let mut cfg = PartitionConfig::for_platform(&mote).at_rate(16.0);
-    cfg.mode = Mode::Permissive;
-    let permissive = partition(&app.graph, &prof, &mote, &cfg);
-
-    let mut ccfg = PartitionConfig::for_platform(&mote).at_rate(16.0);
-    ccfg.mode = Mode::Conservative;
-    let conservative = partition(&app.graph, &prof, &mote, &ccfg);
+    let permissive = partition_tmote(&app.graph, &prof, 16.0, Mode::Permissive);
+    let conservative = partition_tmote(&app.graph, &prof, 16.0, Mode::Conservative);
 
     match (permissive, conservative) {
         (Ok(p), Ok(c)) => {
             // Conservative can never place fewer ops on the node than the
             // pinning forces; permissive has strictly more freedom.
-            assert!(c.node_op_count() >= p.node_op_count());
+            assert!(c.site_ops[0].len() >= p.site_ops[0].len());
         }
         (Ok(_), Err(PartitionError::Infeasible)) => {
             // Also a valid outcome: pinning everything stateful on-node
@@ -109,8 +117,8 @@ fn seizure_detected_through_partitioned_deployment() {
     let prof = profile(&mut app.graph, &traces).unwrap();
 
     let mote = Platform::tmote_sky();
-    let cfg = PartitionConfig::for_platform(&mote).at_rate(1.0);
-    let part = partition(&app.graph, &prof, &mote, &cfg).expect("EEG fits at 0.5 windows/s");
+    let part = partition_tmote(&app.graph, &prof, 1.0, Mode::Permissive)
+        .expect("EEG fits at 0.5 windows/s");
 
     // Rebuild a fresh app (the profiler consumed operator state) and drive
     // all four channel sources through the multi-source deployment.
@@ -133,7 +141,7 @@ fn seizure_detected_through_partitioned_deployment() {
     };
     let rep = simulate_deployment_multi(
         &app2.graph,
-        &part.node_ops,
+        &part.site_ops[0],
         &feeds,
         &mote,
         ChannelParams::mote(),

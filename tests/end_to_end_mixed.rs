@@ -5,7 +5,8 @@
 //! sparse revised simplex) cannot silently change what the examples
 //! print.
 
-use wishbone::core::{partition_mixed, NodeClass};
+use std::collections::HashSet;
+
 use wishbone::prelude::*;
 
 fn speech_profiled() -> (SpeechApp, GraphProfile) {
@@ -15,79 +16,96 @@ fn speech_profiled() -> (SpeechApp, GraphProfile) {
     (app, prof)
 }
 
+/// The paper's node/server split on `mote` with the uplink budgeted at
+/// the measured network profile (§7.3.1).
+fn overload_deployment(mote: &Platform, net_budget: f64) -> Deployment {
+    Deployment::binary(
+        Site::new(mote.name.clone(), mote),
+        LinkSpec {
+            beta: 1.0,
+            net_budget,
+        },
+    )
+}
+
 #[test]
 fn mixed_network_two_classes_semantics() {
     // The examples/mixed_network.rs scenario: 16 slowed TMotes + 4
-    // Gumstix microservers running one logical speech program.
+    // Gumstix microservers running one logical speech program, as two
+    // leaf classes under the server. Each class's uplink is budgeted at
+    // its per-node radio goodput times its node count.
     let (app, prof) = speech_profiled();
     let mote = Platform::tmote_sky();
     let gumstix = Platform::gumstix();
-    let classes = vec![
-        NodeClass {
-            config: PartitionConfig::for_platform(&mote)
-                .with_measured_overheads(&mote)
-                .at_rate(0.1),
-            platform: mote.clone(),
-            count: 16,
+    let mut dep = Deployment::new(Site::server("server", &Platform::server()));
+    let root = dep.root();
+    let motes = dep.attach(
+        root,
+        Site::new("motes", &mote)
+            .with_count(16)
+            .with_cpu_budget(mote.cpu_budget_fraction / mote.os_overhead)
+            .at_rate(0.1),
+        LinkSpec {
+            beta: 1.0,
+            net_budget: 16.0 * mote.radio.goodput_bytes_per_sec,
         },
-        NodeClass {
-            config: PartitionConfig::for_platform(&gumstix),
-            platform: gumstix.clone(),
-            count: 4,
+    );
+    let gums = dep.attach(
+        root,
+        Site::new("microservers", &gumstix).with_count(4),
+        LinkSpec {
+            beta: 1.0,
+            net_budget: 4.0 * gumstix.radio.goodput_bytes_per_sec,
         },
-    ];
-    let mixed = partition_mixed(&app.graph, &prof, &classes).expect("both classes partition");
+    );
+    let part = partition_deployment(&app.graph, &prof, &dep, &DeploymentConfig::default())
+        .expect("both classes partition");
 
-    assert_eq!(mixed.classes.len(), 2);
-    let mote_part = &mixed.classes[0].partition;
-    let gum_part = &mixed.classes[1].partition;
+    assert_eq!(part.leaves.len(), 2);
+    let mote_part = part.leaf(motes).unwrap();
+    let gum_part = part.leaf(gums).unwrap();
 
     // Each class keeps the pinned source on the node and respects its own
     // budgets at its own rate.
-    assert!(mote_part.node_ops.contains(&app.source));
-    assert!(gum_part.node_ops.contains(&app.source));
+    assert!(mote_part.site_ops[0].contains(&app.source));
+    assert!(gum_part.site_ops[0].contains(&app.source));
     assert!(
-        mote_part.predicted_cpu <= 1.0 + 1e-9,
+        mote_part.predicted_cpu[0] <= 1.0 + 1e-9,
         "mote cpu {}",
-        mote_part.predicted_cpu
+        mote_part.predicted_cpu[0]
     );
     // The microserver class runs the full 8 kHz and has CPU to spare, so
     // it carries at least as much of the pipeline as the slowed motes.
     assert!(
-        gum_part.node_op_count() >= mote_part.node_op_count(),
+        gum_part.site_ops[0].len() >= mote_part.site_ops[0].len(),
         "gumstix {} ops vs mote {} ops",
-        gum_part.node_op_count(),
-        mote_part.node_op_count()
+        gum_part.site_ops[0].len(),
+        mote_part.site_ops[0].len()
     );
 
     // "The server would need to be engineered to deal with receiving
-    // results ... at various stages of partial processing": the entry
-    // edges are exactly the union of the per-class cut edges, and the
-    // server-side union covers every operator some class leaves off-node.
-    for c in &mixed.classes {
-        for e in &c.partition.cut_edges {
-            assert!(
-                mixed.server_entry_edges.contains(e),
-                "cut edge missing from server entry set"
-            );
-        }
-    }
-    let union = mixed.server_side_union(&app.graph);
+    // results ... at various stages of partial processing": the server
+    // hosts exactly the operators some class leaves off-node, and every
+    // class's cut edge enters it.
+    let server_side = part.ops_at(root);
     for id in app.graph.operator_ids() {
-        let off_node_somewhere = mixed
-            .classes
-            .iter()
-            .any(|c| !c.partition.node_ops.contains(&id));
-        assert_eq!(union.contains(&id), off_node_somewhere);
+        let off_node_somewhere = part.leaves.iter().any(|l| !l.site_ops[0].contains(&id));
+        assert_eq!(server_side.contains(&id), off_node_somewhere);
+    }
+    let entry: HashSet<_> = part
+        .leaves
+        .iter()
+        .flat_map(|l| l.link_cut_edges[0].iter().copied())
+        .collect();
+    for eid in &entry {
+        assert!(server_side.contains(&app.graph.edge(*eid).dst));
     }
 
-    // Aggregate offered load = Σ count · per-node net.
-    let expect: f64 = mixed
-        .classes
-        .iter()
-        .map(|c| c.partition.predicted_net * c.count as f64)
-        .sum();
-    assert!((mixed.total_predicted_net() - expect).abs() < 1e-9);
+    // Aggregate offered load per class = count · per-node net.
+    for (leaf, count) in [(mote_part, 16.0), (gum_part, 4.0)] {
+        let expect = leaf.predicted_net[0] * count;
+        assert!((part.link_net[leaf.leaf.0] - expect).abs() < 1e-9 * (1.0 + expect));
+    }
 }
 
 #[test]
@@ -108,11 +126,18 @@ fn overload_deployment_recommendation_matches_simulation() {
         "network profile must find a usable rate"
     );
 
-    let mut cfg = PartitionConfig::for_platform(&mote);
-    cfg.net_budget = netprof.max_aggregate_payload_rate;
-    let result = max_sustainable_rate(&app.graph, &prof, &mote, &cfg, 8.0, 0.01)
-        .expect("solver ok")
-        .expect("feasible at low rate");
+    let net_budget = netprof.max_aggregate_payload_rate;
+    let dep = overload_deployment(&mote, net_budget);
+    let result = max_sustainable_rate_deployment(
+        &app.graph,
+        &prof,
+        &dep,
+        &DeploymentConfig::default(),
+        8.0,
+        0.01,
+    )
+    .expect("solver ok")
+    .expect("feasible at low rate");
     assert!(
         result.rate > 0.0 && result.rate < 8.0,
         "sustainable rate {} must be an interior point",
@@ -120,9 +145,10 @@ fn overload_deployment_recommendation_matches_simulation() {
     );
     // The recommendation is an intermediate cut: real on-node work, and
     // the predicted load fits both measured budgets.
-    assert!(result.partition.node_op_count() >= 1);
-    assert!(result.partition.predicted_cpu <= cfg.cpu_budget + 1e-9);
-    assert!(result.partition.predicted_net <= cfg.net_budget + 1e-9);
+    let cut = &result.partition.leaves[0];
+    assert!(!cut.site_ops[0].is_empty());
+    assert!(cut.predicted_cpu[0] <= mote.cpu_budget_fraction + 1e-9);
+    assert!(cut.predicted_net[0] <= net_budget + 1e-9);
 
     // Ground truth: simulate the deployment at the recommended rate for
     // every cutpoint; the recommended cut must be competitive with the
@@ -139,7 +165,7 @@ fn overload_deployment_recommendation_matches_simulation() {
         let report = simulate_deployment(
             &app.graph, &node_set, app.source, &elems, 40.0, &mote, channel, &dcfg,
         );
-        let is_recommended = node_set == result.partition.node_ops;
+        let is_recommended = node_set == cut.site_ops[0];
         goods.push((name.to_string(), report.goodput_ratio(), is_recommended));
     }
     let rec = goods
@@ -171,14 +197,14 @@ fn overload_pipeline_is_backend_invariant() {
     let channel = ChannelParams::mote();
     let netprof = profile_network(channel, 1, 28, 0.90, 99);
     let mut results = Vec::new();
+    let dep = overload_deployment(&mote, netprof.max_aggregate_payload_rate);
     for backend in [SolverBackend::Dense, SolverBackend::Sparse] {
-        let mut cfg = PartitionConfig::for_platform(&mote);
-        cfg.net_budget = netprof.max_aggregate_payload_rate;
+        let mut cfg = DeploymentConfig::default();
         cfg.ilp.backend = backend;
-        let r = max_sustainable_rate(&app.graph, &prof, &mote, &cfg, 8.0, 0.01)
+        let r = max_sustainable_rate_deployment(&app.graph, &prof, &dep, &cfg, 8.0, 0.01)
             .expect("solver ok")
             .expect("feasible");
-        results.push((r.rate, r.partition.node_ops.clone()));
+        results.push((r.rate, r.partition.leaves[0].site_ops[0].clone()));
     }
     let (dense_rate, dense_cut) = &results[0];
     let (sparse_rate, sparse_cut) = &results[1];

@@ -10,25 +10,42 @@ fn profiled_app() -> (SpeechApp, GraphProfile) {
     (app, prof)
 }
 
+/// The paper's node/server split on `platform` at its default budgets.
+fn node_server(platform: &Platform) -> Deployment {
+    Deployment::chain(&[platform.clone(), Platform::server()])
+}
+
+/// Rate-search `dep` over `(0, 4]` to 1%.
+fn rate_search(app: &SpeechApp, prof: &GraphProfile, dep: &Deployment) -> DeploymentRateResult {
+    max_sustainable_rate_deployment(
+        &app.graph,
+        prof,
+        dep,
+        &DeploymentConfig::default(),
+        4.0,
+        0.01,
+    )
+    .unwrap()
+    .expect("some rate is sustainable")
+}
+
 #[test]
 fn tmote_cannot_fit_at_full_rate_but_fits_when_slowed() {
     let (app, prof) = profiled_app();
-    let mote = Platform::tmote_sky();
-    let cfg = PartitionConfig::for_platform(&mote);
+    let dep = node_server(&Platform::tmote_sky());
     // Full 8 kHz: infeasible on a TMote (both CPU and radio are too small).
     assert!(matches!(
-        partition(&app.graph, &prof, &mote, &cfg),
+        partition_deployment(&app.graph, &prof, &dep, &DeploymentConfig::default()),
         Err(PartitionError::Infeasible)
     ));
     // The §4.3 rate search finds a positive sustainable rate.
-    let r = max_sustainable_rate(&app.graph, &prof, &mote, &cfg, 4.0, 0.01)
-        .unwrap()
-        .expect("some rate is sustainable");
+    let r = rate_search(&app, &prof, &dep);
     assert!(r.rate > 0.001 && r.rate < 1.0, "rate {}", r.rate);
     // At that rate, the selected cut is an intermediate one (not all-server,
     // not necessarily everything).
-    assert!(r.partition.node_op_count() >= 1);
-    assert!(r.partition.predicted_cpu <= 1.0 + 1e-9);
+    let motes = &r.partition.leaves[0];
+    assert!(!motes.site_ops[0].is_empty());
+    assert!(motes.predicted_cpu[0] <= 1.0 + 1e-9);
 }
 
 #[test]
@@ -39,10 +56,7 @@ fn optimal_cut_beats_endpoint_partitions_in_deployment() {
     // intermediate partition."
     let (app, prof) = profiled_app();
     let mote = Platform::tmote_sky();
-    let cfg = PartitionConfig::for_platform(&mote);
-    let r = max_sustainable_rate(&app.graph, &prof, &mote, &cfg, 4.0, 0.01)
-        .unwrap()
-        .expect("feasible");
+    let r = rate_search(&app, &prof, &node_server(&mote));
 
     let elems = app.trace_elements(200, 9);
     let channel = ChannelParams::mote();
@@ -61,7 +75,7 @@ fn optimal_cut_beats_endpoint_partitions_in_deployment() {
     let cuts = app.cutpoints();
     let all_server_good = run(&cuts.first().unwrap().1);
     let all_node_good = run(&cuts.last().unwrap().1);
-    let recommended = run(&r.partition.node_ops);
+    let recommended = run(&r.partition.leaves[0].site_ops[0]);
 
     // All-server drives the mote radio into congestion collapse (paper:
     // ~0% goodput); the recommended intermediate cut delivers data. The
@@ -91,10 +105,15 @@ fn recommended_cut_matches_empirical_peak() {
     // doesn't over-commit the CPU that the OS will eat.
     let (app, prof) = profiled_app();
     let mote = Platform::tmote_sky();
-    let cfg = PartitionConfig::for_platform(&mote).with_measured_overheads(&mote);
-    let r = max_sustainable_rate(&app.graph, &prof, &mote, &cfg, 4.0, 0.01)
-        .unwrap()
-        .expect("feasible");
+    let derated = Deployment::binary(
+        Site::new(mote.name.clone(), &mote)
+            .with_cpu_budget(mote.cpu_budget_fraction / mote.os_overhead),
+        LinkSpec {
+            beta: 1.0,
+            net_budget: mote.radio.goodput_bytes_per_sec,
+        },
+    );
+    let r = rate_search(&app, &prof, &derated);
 
     let elems = app.trace_elements(200, 5);
     let channel = ChannelParams::mote();
@@ -110,7 +129,7 @@ fn recommended_cut_matches_empirical_peak() {
             &app.graph, &node_set, app.source, &elems, 40.0, &mote, channel, &dcfg,
         );
         let g = rep.goodput_ratio();
-        if node_set == r.partition.node_ops {
+        if node_set == r.partition.leaves[0].site_ops[0] {
             recommended_good = Some(g);
         }
         if best.is_none_or(|(_, bg)| g > bg) {
@@ -153,8 +172,14 @@ fn predicted_cpu_close_to_simulated_cpu() {
     // (Gumstix: 11.5% predicted vs 15% measured — a ~1.3x OS factor).
     let (app, prof) = profiled_app();
     let gumstix = Platform::gumstix();
-    let cfg = PartitionConfig::for_platform(&gumstix);
-    let part = partition(&app.graph, &prof, &gumstix, &cfg).expect("gumstix fits");
+    let part = partition_deployment(
+        &app.graph,
+        &prof,
+        &node_server(&gumstix),
+        &DeploymentConfig::default(),
+    )
+    .expect("gumstix fits");
+    let part = &part.leaves[0];
 
     let elems = app.trace_elements(200, 21);
     let dcfg = SimulationConfig {
@@ -165,7 +190,7 @@ fn predicted_cpu_close_to_simulated_cpu() {
     };
     let rep = simulate_deployment(
         &app.graph,
-        &part.node_ops,
+        &part.site_ops[0],
         app.source,
         &elems,
         40.0,
@@ -173,7 +198,7 @@ fn predicted_cpu_close_to_simulated_cpu() {
         ChannelParams::wifi(400_000.0),
         &dcfg,
     );
-    let predicted = part.predicted_cpu;
+    let predicted = part.predicted_cpu[0];
     let measured = rep.node_cpu_utilization;
     assert!(
         measured > predicted,
@@ -226,12 +251,22 @@ fn meraki_ships_raw_data() {
     // fractions of each resource.
     let (app, prof) = profiled_app();
     let meraki = Platform::meraki_mini();
-    let mut cfg = PartitionConfig::for_platform(&meraki);
-    cfg.alpha = 1.0 / cfg.cpu_budget;
-    cfg.beta = 1.0 / cfg.net_budget;
-    let part = partition(&app.graph, &prof, &meraki, &cfg).expect("meraki fits at full rate");
-    assert_eq!(part.node_op_count(), 1, "only the source stays on the node");
-    assert!(part.node_ops.contains(&app.source));
+    let (cpu_budget, net_budget) = (
+        meraki.cpu_budget_fraction,
+        meraki.radio.goodput_bytes_per_sec,
+    );
+    let dep = Deployment::binary(
+        Site::new(meraki.name.clone(), &meraki).with_alpha(1.0 / cpu_budget),
+        LinkSpec {
+            beta: 1.0 / net_budget,
+            net_budget,
+        },
+    );
+    let part = partition_deployment(&app.graph, &prof, &dep, &DeploymentConfig::default())
+        .expect("meraki fits at full rate");
+    let node_ops = &part.leaves[0].site_ops[0];
+    assert_eq!(node_ops.len(), 1, "only the source stays on the node");
+    assert!(node_ops.contains(&app.source));
 
     // Cross-check with the deployment simulator: shipping raw over WiFi
     // delivers essentially everything at the full 8 kHz rate.
@@ -244,7 +279,7 @@ fn meraki_ships_raw_data() {
     };
     let rep = simulate_deployment(
         &app.graph,
-        &part.node_ops,
+        node_ops,
         app.source,
         &elems,
         40.0,

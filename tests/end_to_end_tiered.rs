@@ -1,16 +1,21 @@
-//! End-to-end tests of the multi-tier subsystem.
+//! End-to-end tests of multi-tier deployments.
 //!
-//! The correctness anchor is differential parity: for k = 2 the k-way
-//! monotone-cut partitioner must return the same operator assignment,
-//! objective, and verdict as the binary `partition()` on the apps-crate
-//! graphs, on both simplex backends (the same way the dense tableau
-//! anchored the sparse revised simplex in PR 3). On top of that, 3-tier
-//! chains are checked for structural invariants and wired through the
-//! tiered deployment simulator.
+//! The correctness anchor is differential parity: for k = 2 the
+//! deployment pipeline's monotone cut must return the same operator
+//! assignment, objective, and verdict as the §4.2.1 binary restricted
+//! encoder solved directly on the apps-crate graphs, on both simplex
+//! backends (the same way the dense tableau anchored the sparse revised
+//! simplex). On top of that, 3-tier chains are checked for structural
+//! invariants and wired through the tiered deployment simulator.
 
-use wishbone::core::MultiTierConfig;
+use wishbone::core::encode;
+use wishbone::ilp::IlpOptions;
 use wishbone::prelude::*;
 
+/// A 2-site deployment against the restricted binary encoder of the same
+/// merged partition graph. The oracle is encoded once at unit rate with
+/// its budgets divided by the probe rate (load is linear in rate, §4.3),
+/// so its optimum times the rate is the deployment's objective.
 fn parity_on(
     graph: &Graph,
     prof: &GraphProfile,
@@ -18,36 +23,56 @@ fn parity_on(
     rates: &[f64],
     backend: SolverBackend,
 ) {
+    let (cpu, net) = (
+        node_platform.cpu_budget_fraction,
+        node_platform.radio.goodput_bytes_per_sec,
+    );
+    let pg = build_partition_graph(graph, prof, node_platform, Mode::Permissive, 1.0).unwrap();
+    let pg = preprocess(&pg).unwrap().graph;
+    let dep = Deployment::chain(&[node_platform.clone(), Platform::server()]);
+    let opts = IlpOptions {
+        backend,
+        ..IlpOptions::default()
+    };
     for &rate in rates {
-        let mut cfg = PartitionConfig::for_platform(node_platform).at_rate(rate);
-        cfg.ilp.backend = backend;
-        let mt_cfg = MultiTierConfig::binary(&cfg, node_platform);
-        let binary = partition(graph, prof, node_platform, &cfg);
-        let tiered = partition_multitier(graph, prof, &mt_cfg);
-        match (binary, tiered) {
+        let cfg = DeploymentConfig {
+            ilp: opts.clone(),
+            ..DeploymentConfig::default()
+        };
+        let tiered = partition_deployment(graph, prof, &dep, &cfg.at_rate(rate));
+        let oracle = encode(
+            &pg,
+            Encoding::Restricted,
+            &ObjectiveConfig::bandwidth_only(cpu / rate, net / rate),
+        );
+        match (oracle.problem.solve_ilp(&opts), tiered) {
             (Ok(b), Ok(t)) => {
                 assert_eq!(
-                    b.node_ops, t.tier_ops[0],
+                    pg.expand(&oracle.decode(&b.values)),
+                    t.leaves[0].site_ops[0],
                     "node assignment diverged at rate {rate} on {backend:?}"
                 );
-                assert_eq!(b.server_ops, t.tier_ops[1]);
-                assert_eq!(b.cut_edges, t.link_cut_edges[0]);
+                let want = b.objective * rate;
                 assert!(
-                    (b.objective - t.objective).abs() < 1e-9 * (1.0 + b.objective.abs()),
-                    "objective diverged at rate {rate}: {} vs {}",
-                    b.objective,
+                    (want - t.objective).abs() < 1e-9 * (1.0 + want.abs()),
+                    "objective diverged at rate {rate}: {want} vs {}",
                     t.objective
                 );
                 assert_eq!(
-                    b.problem_size, t.problem_size,
+                    (oracle.problem.num_vars(), oracle.problem.num_constraints()),
+                    t.problem_size,
                     "the k=2 encoding must be the binary encoding, row for row"
                 );
-                assert_eq!(b.ilp_stats.backend, t.ilp_stats.backend);
+                assert_eq!(t.ilp_stats.backend, backend);
             }
-            (Err(b), Err(t)) => {
-                assert_eq!(b, t, "verdicts diverged at rate {rate} on {backend:?}")
+            (Err(_), Err(t)) => {
+                assert_eq!(
+                    t,
+                    PartitionError::Infeasible,
+                    "verdicts diverged at rate {rate} on {backend:?}"
+                )
             }
-            (b, t) => panic!("rate {rate} {backend:?}: binary {b:?} vs multitier {t:?}"),
+            (b, t) => panic!("rate {rate} {backend:?}: oracle {b:?} vs deployment {t:?}"),
         }
     }
 }
@@ -88,44 +113,48 @@ fn eeg_three_tier_structure_and_rate_dominance() {
     let mote = Platform::tmote_sky();
     let chain = [mote.clone(), Platform::iphone(), Platform::server()];
 
-    let cfg3 = MultiTierConfig::for_chain(&chain);
-    let part = partition_multitier(&app.graph, &prof, &cfg3.clone().at_rate(0.5))
+    let dep3 = Deployment::chain(&chain);
+    let cfg = DeploymentConfig::default();
+    let part = partition_deployment(&app.graph, &prof, &dep3, &cfg.clone().at_rate(0.5))
         .expect("3-tier feasible at half rate");
-    assert_eq!(part.k(), 3);
+    let part = &part.leaves[0];
+    assert_eq!(part.path.len(), 3);
     // Tier order is monotone along every dataflow edge.
     for eid in app.graph.edge_ids() {
         let e = app.graph.edge(eid);
-        assert!(part.tier_of(e.src).unwrap() <= part.tier_of(e.dst).unwrap());
+        assert!(part.position_of(e.src).unwrap() <= part.position_of(e.dst).unwrap());
     }
     // Sources sit on the motes, the sink on the server.
     for &src in &app.sources {
-        assert_eq!(part.tier_of(src), Some(0));
+        assert_eq!(part.position_of(src), Some(0));
     }
-    assert_eq!(part.tier_of(app.sink), Some(2));
+    assert_eq!(part.position_of(app.sink), Some(2));
     // Budgets hold on every constrained tier and link.
-    for (t, spec) in cfg3.tiers.iter().enumerate() {
-        if spec.cpu_budget.is_finite() {
-            assert!(part.predicted_cpu[t] <= spec.cpu_budget * 0.5 + 1e-9);
+    for (t, &site) in part.path.iter().enumerate() {
+        let budget = dep3.site(site).cpu_budget;
+        if budget.is_finite() {
+            assert!(part.predicted_cpu[t] <= budget * 0.5 + 1e-9);
         }
-    }
-    for (b, link) in cfg3.links.iter().enumerate() {
-        assert!(part.predicted_net[b] <= link.net_budget * 0.5 + 1e-9);
+        if let Some(link) = dep3.uplink(site) {
+            assert!(part.predicted_net[t] <= link.net_budget * 0.5 + 1e-9);
+        }
     }
 
     // Adding a relay can only help: the 3-tier max sustainable rate is at
     // least the binary mote→server rate (a 2-tier solution embeds as a
     // 3-tier one with an empty phone tier; the phone's WiFi uplink dwarfs
     // the mote radio, so pass-through always fits).
-    let two = max_sustainable_rate_multitier(
+    let two = max_sustainable_rate_deployment(
         &app.graph,
         &prof,
-        &MultiTierConfig::for_chain(&[mote, Platform::server()]),
+        &Deployment::chain(&[mote, Platform::server()]),
+        &cfg,
         32.0,
         0.02,
     )
     .unwrap()
     .expect("2-tier feasible");
-    let three = max_sustainable_rate_multitier(&app.graph, &prof, &cfg3, 32.0, 0.02)
+    let three = max_sustainable_rate_deployment(&app.graph, &prof, &dep3, &cfg, 32.0, 0.02)
         .unwrap()
         .expect("3-tier feasible");
     assert!(
@@ -148,10 +177,11 @@ fn tiered_deployment_simulates_goodput_across_both_hops() {
         Platform::server(),
     ];
     let rate = 0.125;
-    let part = partition_multitier(
+    let part = partition_deployment(
         &app.graph,
         &prof,
-        &MultiTierConfig::for_chain(&chain).at_rate(rate),
+        &Deployment::chain(&chain),
+        &DeploymentConfig::default().at_rate(rate),
     )
     .expect("feasible at 1/8 rate");
 
@@ -167,7 +197,7 @@ fn tiered_deployment_simulates_goodput_across_both_hops() {
     }];
     let r = simulate_tiered_deployment(
         &app.graph,
-        &part.tier_ops,
+        &part.leaves[0].site_ops,
         &feeds,
         &chain,
         &[ChannelParams::mote(), ChannelParams::wifi(400_000.0)],
@@ -191,27 +221,34 @@ fn tiered_deployment_simulates_goodput_across_both_hops() {
 
 #[test]
 fn mixed_classes_still_compose_with_multitier_chains() {
-    // The §9 mixed-network path (one binary ILP per class) and the
-    // multitier path answer different questions about the same program;
-    // on a single-class network they must agree with each other through
-    // the k = 2 anchor.
+    // A §9 mixed network (a star of leaf classes) and a chain answer
+    // different questions about the same program; a single-class star is
+    // the 2-site chain, and its node counts scale only the shared uplink,
+    // never the per-device placement (4 nodes, each with its own radio
+    // goodput).
     let mut app = build_speech_app(SpeechParams::default());
     let trace = app.trace(40, 21);
     let prof = profile(&mut app.graph, &[trace]).unwrap();
     let gumstix = Platform::gumstix();
-    let cfg = PartitionConfig::for_platform(&gumstix);
-    let mixed = wishbone::core::partition_mixed(
+    let cfg = DeploymentConfig::default();
+    let star = Deployment::binary(
+        Site::new("microservers", &gumstix).with_count(4),
+        LinkSpec {
+            beta: 1.0,
+            net_budget: 4.0 * gumstix.radio.goodput_bytes_per_sec,
+        },
+    );
+    let mixed = partition_deployment(&app.graph, &prof, &star, &cfg).unwrap();
+    let tiered = partition_deployment(
         &app.graph,
         &prof,
-        &[wishbone::core::NodeClass {
-            platform: gumstix.clone(),
-            count: 4,
-            config: cfg.clone(),
-        }],
+        &Deployment::chain(&[gumstix, Platform::server()]),
+        &cfg,
     )
     .unwrap();
-    let tiered =
-        partition_multitier(&app.graph, &prof, &MultiTierConfig::binary(&cfg, &gumstix)).unwrap();
-    assert_eq!(mixed.classes[0].partition.node_ops, tiered.tier_ops[0]);
-    assert_eq!(mixed.server_entry_edges, tiered.link_cut_edges[0]);
+    assert_eq!(mixed.leaves[0].site_ops, tiered.leaves[0].site_ops);
+    assert_eq!(
+        mixed.leaves[0].link_cut_edges,
+        tiered.leaves[0].link_cut_edges
+    );
 }

@@ -11,18 +11,19 @@ fn speech_app_partitions_on_tmote_sky() {
     let trace = app.trace(60, 17);
     let prof = profile(&mut app.graph, &[trace]).expect("profiling succeeds");
 
-    let mote = Platform::tmote_sky();
+    let dep = Deployment::chain(&[Platform::tmote_sky(), Platform::server()]);
     // Full 8 kHz exceeds a TMote (§7.2); an eighth of the rate fits.
-    let cfg = PartitionConfig::for_platform(&mote).at_rate(0.125);
-    let part = partition(&app.graph, &prof, &mote, &cfg).expect("feasible at 1/8 rate");
+    let cfg = DeploymentConfig::default().at_rate(0.125);
+    let part = partition_deployment(&app.graph, &prof, &dep, &cfg).expect("feasible at 1/8 rate");
+    let part = &part.leaves[0];
 
     assert!(
-        part.predicted_cpu <= 1.0,
+        part.predicted_cpu[0] <= 1.0,
         "predicted CPU {} exceeds the whole-processor budget",
-        part.predicted_cpu
+        part.predicted_cpu[0]
     );
     assert!(
-        part.node_ops.contains(&app.source),
+        part.site_ops[0].contains(&app.source),
         "speech source must be pinned to the node partition"
     );
 }
@@ -33,18 +34,20 @@ fn eeg_app_partitions_on_tmote_sky() {
     let traces = app.traces(4, 1..3, 23);
     let prof = profile(&mut app.graph, &traces).expect("profiling succeeds");
 
-    let mote = Platform::tmote_sky();
-    let cfg = PartitionConfig::for_platform(&mote).at_rate(1.0);
-    let part = partition(&app.graph, &prof, &mote, &cfg).expect("feasible at reference rate");
+    let dep = Deployment::chain(&[Platform::tmote_sky(), Platform::server()]);
+    let cfg = DeploymentConfig::default();
+    let part =
+        partition_deployment(&app.graph, &prof, &dep, &cfg).expect("feasible at reference rate");
+    let part = &part.leaves[0];
 
     assert!(
-        part.predicted_cpu <= 1.0,
+        part.predicted_cpu[0] <= 1.0,
         "predicted CPU {} exceeds the whole-processor budget",
-        part.predicted_cpu
+        part.predicted_cpu[0]
     );
     for src in &app.sources {
         assert!(
-            part.node_ops.contains(src),
+            part.site_ops[0].contains(src),
             "EEG source {src} must be pinned to the node partition"
         );
     }

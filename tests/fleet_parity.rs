@@ -193,6 +193,10 @@ fn fleet_batch_matches_serial_one_shot() {
     for i in (1..params.len()).rev() {
         params.swap(i, rng.pick(i + 1));
     }
+    // One malformed request mid-batch: a zero rate must cost only its own
+    // response (a typed error), never a worker or its cached instance.
+    const BAD: usize = 100;
+    params.insert(BAD, (0, 2, 0.1, 0.0));
 
     let cfg = DeploymentConfig::default();
     let mk_request = |id: u64, &(shape, count, gw_budget, rate): &(usize, usize, f64, f64)| {
@@ -248,6 +252,11 @@ fn fleet_batch_matches_serial_one_shot() {
         );
         assert_eq!(stats.cache_hits, params.len() as u64 - 8);
         assert_eq!(stats.encodes_avoided, params.len() as u64 - 8);
+        assert!(
+            matches!(responses[BAD].result, Err(PartitionError::Invalid(_))),
+            "{workers} workers: a zero rate must be rejected, got {:?}",
+            responses[BAD].result
+        );
         for (resp, oracle) in responses.iter().zip(&serial) {
             assert_partitions_bit_identical(
                 &format!("{workers} workers, request {}", resp.id),

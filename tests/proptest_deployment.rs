@@ -4,12 +4,12 @@
 //!
 //! * (a) a **path** deployment produces `encode_multitier`'s rows
 //!   bit-for-bit (and a 2-site star produces the binary restricted
-//!   encoding bit-for-bit) — the old encoders stay alive as independent
-//!   oracles precisely so this comparison means something now that
-//!   `partition()`/`partition_multitier()` delegate to the deployment
-//!   path;
-//! * (b) a **star** of heterogeneous leaf classes reproduces
-//!   `partition_mixed`'s per-class partitions from one joint ILP;
+//!   encoding bit-for-bit) — the chain encoders stay alive as independent
+//!   oracles precisely so this comparison means something now that the
+//!   deployment path is the only partitioner;
+//! * (b) a **star** of heterogeneous leaf classes (§9's mixed network)
+//!   decouples: one joint ILP reproduces every class solved alone as a
+//!   single-leaf deployment;
 //! * (c) on genuine **trees**, every per-gateway CPU and uplink budget
 //!   holds at the returned placement, identically on both simplex
 //!   backends.
@@ -18,10 +18,10 @@ use proptest::prelude::*;
 use std::collections::HashSet;
 
 use wishbone::core::{
-    deltas_between, encode, encode_deployment, encode_multitier, partition_deployment,
-    partition_mixed, shape_key, Deployment, DeploymentConfig, DeploymentDelta, DeploymentObjective,
-    Encoding, LeafChain, LinkSpec, NodeClass, ObjectiveConfig, PEdge, PVertex, PartitionConfig,
-    PartitionGraph, Pin, PreparedDeployment, Site, SiteId, TierObjective, TieredGraph,
+    deltas_between, encode, encode_deployment, encode_multitier, partition_deployment, shape_key,
+    Deployment, DeploymentConfig, DeploymentDelta, DeploymentObjective, Encoding, LeafChain,
+    LinkSpec, ObjectiveConfig, PEdge, PVertex, PartitionGraph, Pin, PreparedDeployment, Site,
+    SiteId, TierObjective, TieredGraph,
 };
 use wishbone::dataflow::OperatorId;
 use wishbone::ilp::{IlpOptions, Problem, SolverBackend, VarId};
@@ -238,8 +238,8 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// (b) star of heterogeneous leaf classes ≡ `partition_mixed`: the
-    /// joint block-diagonal ILP reproduces every per-class partition.
+    /// (b) star of heterogeneous leaf classes ≡ each class alone: the
+    /// joint block-diagonal ILP reproduces every single-leaf partition.
     #[test]
     fn star_reproduces_mixed_per_class_partitions(
         stages in 2usize..5,
@@ -261,53 +261,42 @@ proptest! {
         };
         let mote = Platform::tmote_sky();
         let strong = Platform::gumstix();
-        let mut weak_cfg = PartitionConfig::for_platform(&mote).at_rate(weak_rate);
-        weak_cfg.cpu_budget = weak_budget;
-        weak_cfg.net_budget = 1e9;
-        let mut strong_cfg = PartitionConfig::for_platform(&strong);
-        strong_cfg.cpu_budget = strong_budget;
-        strong_cfg.net_budget = 1e9;
-
-        let mixed = match partition_mixed(
-            &g,
-            &prof,
-            &[
-                NodeClass { platform: mote.clone(), count: 1, config: weak_cfg.clone() },
-                NodeClass { platform: strong.clone(), count: 1, config: strong_cfg.clone() },
-            ],
-        ) {
-            Ok(m) => m,
-            Err(_) => return Ok(()), // a class may genuinely not fit
-        };
-
-        let mut dep = Deployment::new(Site::server("server", &Platform::server()));
-        let root = dep.root();
-        dep.attach(
-            root,
+        let uplink = LinkSpec { beta: 1.0, net_budget: 1e9 };
+        let classes = [
             Site::new("motes", &mote)
                 .with_cpu_budget(weak_budget)
                 .at_rate(weak_rate),
-            LinkSpec { beta: 1.0, net_budget: 1e9 },
-        );
-        dep.attach(
-            root,
             Site::new("microservers", &strong).with_cpu_budget(strong_budget),
-            LinkSpec { beta: 1.0, net_budget: 1e9 },
-        );
+        ];
+        let mut dep = Deployment::new(Site::server("server", &Platform::server()));
+        let root = dep.root();
+        for class in &classes {
+            dep.attach(root, class.clone(), uplink);
+        }
         for backend in [SolverBackend::Dense, SolverBackend::Sparse] {
             let mut cfg = DeploymentConfig::default();
             cfg.ilp.backend = backend;
+            let mut alone = Vec::new();
+            for class in &classes {
+                let single = Deployment::binary(class.clone(), uplink);
+                match partition_deployment(&g, &prof, &single, &cfg) {
+                    Ok(p) => alone.push(p),
+                    Err(_) => return Ok(()), // a class may genuinely not fit
+                }
+            }
             let part = partition_deployment(&g, &prof, &dep, &cfg)
-                .expect("mixed succeeded, so the joint star must too");
-            for (leaf, class) in part.leaves.iter().zip(&mixed.classes) {
+                .expect("every class fits alone, so the joint star must too");
+            for ((leaf, single), class) in part.leaves.iter().zip(&alone).zip(&classes) {
                 prop_assert_eq!(
-                    &leaf.site_ops[0],
-                    &class.partition.node_ops,
-                    "{:?}: class {} diverged from partition_mixed",
+                    &leaf.site_ops,
+                    &single.leaves[0].site_ops,
+                    "{:?}: class {} diverged from its single-leaf solve",
                     backend,
-                    class.platform_name
+                    class.name
                 );
             }
+            let total: f64 = alone.iter().map(|p| p.objective).sum();
+            prop_assert!((part.objective - total).abs() < 1e-6 * (1.0 + total.abs()));
         }
     }
 
@@ -415,7 +404,8 @@ proptest! {
 
 /// Sanity outside proptest: the star's server must still catch every
 /// operator some class leaves off-leaf (the mixed "stages of partial
-/// processing" contract, via the joint solve).
+/// processing" contract, via the joint solve), exactly as the classes
+/// solved one at a time would.
 #[test]
 fn star_server_side_union_matches_mixed() {
     let (mut g, src) = random_app(3, &[500, 2000, 900, 100], &[2, 3, 2, 1]);
@@ -429,52 +419,38 @@ fn star_server_side_union_matches_mixed() {
     let prof = profile(&mut g, &[trace]).unwrap();
     let mote = Platform::tmote_sky();
     let strong = Platform::gumstix();
-    let weak_cfg = PartitionConfig::for_platform(&mote).at_rate(0.1);
-    let strong_cfg = PartitionConfig::for_platform(&strong);
-    let mixed = partition_mixed(
-        &g,
-        &prof,
-        &[
-            NodeClass {
-                platform: mote.clone(),
-                count: 8,
-                config: weak_cfg.clone(),
+    // Aggregate uplinks: each class's nodes share a channel budgeted at
+    // the per-node radio goodput each.
+    let classes = [
+        (
+            Site::new("motes", &mote).with_count(8).at_rate(0.1),
+            LinkSpec {
+                beta: 1.0,
+                net_budget: 8.0 * mote.radio.goodput_bytes_per_sec,
             },
-            NodeClass {
-                platform: strong.clone(),
-                count: 2,
-                config: strong_cfg.clone(),
+        ),
+        (
+            Site::new("microservers", &strong).with_count(2),
+            LinkSpec {
+                beta: 1.0,
+                net_budget: 2.0 * strong.radio.goodput_bytes_per_sec,
             },
-        ],
-    )
-    .unwrap();
-
+        ),
+    ];
     let mut dep = Deployment::new(Site::server("server", &Platform::server()));
     let root = dep.root();
-    dep.attach(
-        root,
-        Site::new("motes", &mote)
-            .with_count(8)
-            .with_cpu_budget(weak_cfg.cpu_budget)
-            .at_rate(0.1),
-        LinkSpec {
-            beta: 1.0,
-            // Aggregate uplink: 8 motes sharing a channel budgeted at the
-            // per-class (per-node) figure each.
-            net_budget: 8.0 * weak_cfg.net_budget,
-        },
-    );
-    dep.attach(
-        root,
-        Site::new("microservers", &strong).with_cpu_budget(strong_cfg.cpu_budget),
-        LinkSpec {
-            beta: 1.0,
-            net_budget: 2.0 * strong_cfg.net_budget,
-        },
-    );
-    let part = partition_deployment(&g, &prof, &dep, &DeploymentConfig::default()).unwrap();
+    let cfg = DeploymentConfig::default();
+    let mut one_at_a_time: HashSet<OperatorId> = HashSet::new();
+    for (site, uplink) in &classes {
+        dep.attach(root, site.clone(), *uplink);
+        let alone =
+            partition_deployment(&g, &prof, &Deployment::binary(site.clone(), *uplink), &cfg)
+                .unwrap();
+        one_at_a_time.extend(alone.leaves[0].site_ops[1].iter().copied());
+    }
+    let part = partition_deployment(&g, &prof, &dep, &cfg).unwrap();
     let server_union: HashSet<OperatorId> = part.ops_at(SiteId(0));
-    assert_eq!(server_union, mixed.server_side_union(&g));
+    assert_eq!(server_union, one_at_a_time);
 }
 
 proptest! {
