@@ -3,10 +3,10 @@
 //! [`wishbone_fleet::run_batch`], measuring
 //!
 //! * **cache leverage** — the same batch with the per-worker
-//!   [`ShapeCache`](wishbone_fleet::ShapeCache) on vs off. With ≤ 8
-//!   shapes behind 1 000 requests, the cached arm encodes 8 times and
-//!   rides `apply_delta` rescales for the other 992; the cold arm
-//!   re-encodes every request.
+//!   [`ShapeCache`](wishbone_fleet::ShapeCache) at its default capacity
+//!   vs capacity 0 (no cache). With ≤ 8 shapes behind 1 000 requests,
+//!   the cached arm encodes 8 times and rides `apply_delta` rescales for
+//!   the other 992; the cold arm re-encodes every request.
 //! * **worker scaling** — the cached batch at 1/2/4/8 workers.
 //!   Workers share nothing (sharded queues, per-worker caches and
 //!   arenas), so the ceiling is `min(workers, shapes-per-shard ×
@@ -19,8 +19,9 @@
 //!   (1k and 10k requests, every worker count, cold vs cached);
 //! * `... -- --smoke` — a seconds-scale CI run asserting the cache
 //!   contract: encodes == shapes ≪ requests, cached throughput ≥ 5×
-//!   cold, and (only when the host actually has ≥ 8 cores) 8-worker
-//!   throughput ≥ 3× 1-worker;
+//!   cold, a cache bounded below the shape count stays within its bound,
+//!   evicts, and answers exactly like an unbounded one, and (only when
+//!   the host actually has ≥ 8 cores) 8-worker throughput ≥ 3× 1-worker;
 //! * `... -- --json` — merge `fleet_*` records into the repo-root
 //!   `BENCH_solver.json` (replacing stale `fleet_*` entries, leaving
 //!   `solver_criterion`'s records alone). `median_ns` is the p50
@@ -33,7 +34,7 @@ use std::time::Instant;
 
 use wishbone_core::{Deployment, DeploymentConfig, LinkSpec, Site};
 use wishbone_dataflow::{ExecCtx, FnWork, Graph, GraphBuilder, OperatorId, Value};
-use wishbone_fleet::{run_batch, FleetConfig, FleetRequest, FleetStats};
+use wishbone_fleet::{run_batch, FleetConfig, FleetRequest, FleetResponse, FleetStats};
 use wishbone_profile::{profile, GraphProfile, Platform, SourceTrace};
 
 /// Tiny deterministic PRNG (no vendored `rand` in the hot loop).
@@ -176,14 +177,15 @@ fn mk_requests(n: usize, apps: &[(Arc<Graph>, Arc<GraphProfile>)]) -> Vec<FleetR
         .collect()
 }
 
-/// Run one batch and return (batch wall-clock seconds, stats).
-fn run_arm(cfg: FleetConfig, requests: Vec<FleetRequest>) -> (f64, FleetStats) {
+/// Run one batch and return (batch wall-clock seconds, responses sorted
+/// by id, stats).
+fn run_arm(cfg: FleetConfig, requests: Vec<FleetRequest>) -> (f64, Vec<FleetResponse>, FleetStats) {
     let start = Instant::now();
     let (responses, stats) = run_batch(cfg, requests);
     let total_s = start.elapsed().as_secs_f64();
     assert_eq!(stats.errors, 0, "fixture requests all solve");
     assert_eq!(responses.len() as u64, stats.requests);
-    (total_s, stats)
+    (total_s, responses, stats)
 }
 
 /// The fleet's throughput mode: caching on, warm-start inheritance on.
@@ -192,15 +194,15 @@ fn run_arm(cfg: FleetConfig, requests: Vec<FleetRequest>) -> (f64, FleetStats) {
 fn warm_cfg(workers: usize) -> FleetConfig {
     FleetConfig {
         workers,
-        cache: true,
         deterministic: false,
+        ..FleetConfig::default()
     }
 }
 
 fn cold_cfg(workers: usize) -> FleetConfig {
     FleetConfig {
         workers,
-        cache: false,
+        cache_capacity: 0,
         deterministic: false,
     }
 }
@@ -208,14 +210,16 @@ fn cold_cfg(workers: usize) -> FleetConfig {
 struct Arm {
     name: String,
     total_s: f64,
+    responses: Vec<FleetResponse>,
     stats: FleetStats,
 }
 
 fn arm(name: &str, cfg: FleetConfig, n: usize, apps: &[(Arc<Graph>, Arc<GraphProfile>)]) -> Arm {
-    let (total_s, stats) = run_arm(cfg, mk_requests(n, apps));
+    let (total_s, responses, stats) = run_arm(cfg, mk_requests(n, apps));
     let a = Arm {
         name: name.to_string(),
         total_s,
+        responses,
         stats,
     };
     println!(
@@ -261,6 +265,40 @@ fn smoke() {
         leverage >= 5.0,
         "shape cache must beat per-request encodes by >= 5x, got {leverage:.2}x"
     );
+
+    // Bounded cache: 2 slots per worker against 8 shapes. Both arms are
+    // deterministic, so eviction may cost encodes but never answers.
+    let bounded_cfg = |cache_capacity: usize| FleetConfig {
+        workers: 2,
+        cache_capacity,
+        deterministic: true,
+    };
+    let nb = 100;
+    let bounded = arm("smoke_bounded_c2_w2", bounded_cfg(2), nb, &apps);
+    let unbounded = arm("smoke_unbounded_w2", bounded_cfg(64), nb, &apps);
+    assert!(
+        bounded.stats.resident_shapes <= 2 * 2,
+        "bounded cache holds {} instances over a 2 x 2 bound",
+        bounded.stats.resident_shapes
+    );
+    assert!(
+        bounded.stats.evictions > 0,
+        "8 shapes through 2 x 2 slots must evict"
+    );
+    assert!(bounded.stats.cache_misses > bounded.stats.distinct_shapes);
+    assert_eq!(unbounded.stats.evictions, 0);
+    for (b, u) in bounded.responses.iter().zip(&unbounded.responses) {
+        let (b, u) = (
+            b.result.as_ref().expect("fixture requests all solve"),
+            u.result.as_ref().expect("fixture requests all solve"),
+        );
+        assert_eq!(b.objective.to_bits(), u.objective.to_bits());
+        assert!(b
+            .leaves
+            .iter()
+            .zip(&u.leaves)
+            .all(|(x, y)| x.site_ops == y.site_ops));
+    }
 
     let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
     let w8 = arm("smoke_cached_w8", warm_cfg(8), n, &apps);

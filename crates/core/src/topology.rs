@@ -288,18 +288,19 @@ impl Deployment {
         order
     }
 
-    fn validate(&self) {
-        assert!(
-            self.sites.len() >= 2,
-            "a deployment needs at least one leaf under the root"
-        );
-        assert!(
-            !self.leaves().contains(&self.root()),
-            "the root cannot be a leaf"
-        );
-        for s in &self.sites {
-            assert!(s.count >= 1, "site {:?} has no devices", s.name);
+    /// Structural checks on caller input, as a typed error: at least one
+    /// leaf under the root, and at least one device at every site (a
+    /// `Site` literal can set `count: 0` past `with_count`'s check).
+    fn validate(&self) -> Result<(), PartitionError> {
+        if self.children(self.root()).is_empty() {
+            return Err(PartitionError::Invalid(
+                "a deployment needs at least one leaf under the root",
+            ));
         }
+        if self.sites.iter().any(|s| s.count == 0) {
+            return Err(PartitionError::Invalid("a site has no devices"));
+        }
+        Ok(())
     }
 
     /// The per-site objective handed to the encoder, priced under
@@ -697,7 +698,7 @@ impl<'a> PreparedDeployment<'a> {
         dep: &Deployment,
         cfg: &DeploymentConfig,
     ) -> Result<Self, PartitionError> {
-        dep.validate();
+        dep.validate()?;
         let encode_t = Instant::now();
         let mut leaves = Vec::new();
         let mut vertices_before = 0;
@@ -1657,6 +1658,23 @@ mod tests {
         let a = prep.solve_at(0.2).expect("feasible");
         let b = partition_deployment(&g, &prof, &dep, &cfg.at_rate(0.2)).expect("feasible");
         assert_eq!(a.objective.to_bits(), b.objective.to_bits());
+    }
+
+    #[test]
+    fn malformed_topologies_are_typed_errors() {
+        let (g, prof) = profiled();
+        let cfg = DeploymentConfig::default();
+        let mut dep = forest(1e5, 1e6);
+        dep.sites[3].count = 0; // a literal can bypass `with_count`
+        assert!(matches!(
+            PreparedDeployment::new(&g, &prof, &dep, &cfg),
+            Err(PartitionError::Invalid(_))
+        ));
+        let lone_root = Deployment::new(Site::server("srv", &Platform::server()));
+        assert!(matches!(
+            PreparedDeployment::new(&g, &prof, &lone_root, &cfg),
+            Err(PartitionError::Invalid(_))
+        ));
     }
 
     #[test]

@@ -31,12 +31,30 @@
 //! re-encoding — `encodes()` stays at one per shape, not one per
 //! request.
 //!
+//! The cache is bounded: each worker keeps at most
+//! [`FleetConfig::cache_capacity`] prepared instances (64 by default)
+//! and, on a miss with a full cache, evicts the least-recently-used one
+//! — a fleet's hot shapes stay resident while one-off shapes pass
+//! through, so memory stops growing with every new shape. An evicted
+//! shape that comes back is a plain miss and is prepared from scratch.
+//! Capacity 0 is the cacheless mode: every request prepares from
+//! scratch and nothing is kept.
+//!
+//! A request that panics anywhere in the worker (keying, delta
+//! surgery, prepare, solve) costs only its own response: it is answered
+//! with [`PartitionError::Invalid`], its shape's cached instance is
+//! dropped (a half-applied delta may have left it inconsistent), the
+//! worker's arena is replaced, and the worker serves on.
+//!
 //! Determinism: by default ([`FleetConfig::deterministic`] = true) the
 //! worker resets warm-start state between requests, so every response
 //! is **bit-identical** to a serial one-shot
 //! [`partition_deployment`](wishbone_core::partition_deployment) call —
 //! cache hits cannot leak one request's tie-breaking into another's
-//! placement (pinned by `tests/fleet_parity.rs`). Setting
+//! placement (pinned by `tests/fleet_parity.rs`, at the default
+//! capacity and at capacity 1, where evictions are constant). Eviction
+//! cannot break this: a re-prepared instance solves exactly like the
+//! one it replaces. Setting
 //! `deterministic: false` lets same-shape requests inherit the previous
 //! incumbent (PR 2's rate-probe trick fleet-wide): solves get cheaper,
 //! but a tie between equally-optimal placements may then resolve
@@ -55,8 +73,9 @@
 #![warn(missing_docs)]
 
 use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -75,10 +94,12 @@ use wishbone_profile::GraphProfile;
 pub struct FleetConfig {
     /// Worker thread count (≥ 1). See the crate docs on worker sizing.
     pub workers: usize,
-    /// Keep a [`ShapeCache`] per worker. Disabling it prepares every
-    /// request from scratch — the "cold" arm the `fleet_scaling` bench
-    /// compares against.
-    pub cache: bool,
+    /// Prepared instances each worker's [`ShapeCache`] keeps; a miss on
+    /// a full cache evicts the least-recently-used one. 0 disables the
+    /// cache: every request prepares from scratch — the "cold" arm the
+    /// `fleet_scaling` bench compares against. Eviction never changes an
+    /// answer (see the crate docs on cache semantics).
+    pub cache_capacity: usize,
     /// Reset warm-start state between requests so every response is
     /// bit-identical to a serial one-shot solve (the default). See the
     /// crate docs on cache semantics for what `false` trades away.
@@ -89,7 +110,7 @@ impl Default for FleetConfig {
     fn default() -> Self {
         FleetConfig {
             workers: 1,
-            cache: true,
+            cache_capacity: 64,
             deterministic: true,
         }
     }
@@ -147,9 +168,18 @@ pub struct FleetStats {
     /// service would have paid a full prepare for.
     pub encodes_avoided: u64,
     /// Distinct shapes seen, summed over workers (shapes never span
-    /// workers, so this is a true fleet-wide count).
+    /// workers, so this is a true fleet-wide count) — whether or not
+    /// they are still cached. A shape evicted and prepared again counts
+    /// once here and twice in `cache_misses`.
     pub distinct_shapes: u64,
-    /// Requests that returned an error (infeasible, unproven, solver).
+    /// Least-recently-used entries dropped to make room, summed over
+    /// workers.
+    pub evictions: u64,
+    /// Prepared instances still cached at shutdown, summed over workers
+    /// (at most `cache_capacity × workers`).
+    pub resident_shapes: u64,
+    /// Requests that returned an error (infeasible, unproven, solver,
+    /// invalid input, or a panic caught inside the worker).
     pub errors: u64,
     /// Solve count per worker, index = worker id — the shard balance
     /// view.
@@ -203,48 +233,100 @@ fn add_phase_times(a: &mut PhaseTimes, b: &PhaseTimes) {
     a.nodes_s += b.nodes_s;
 }
 
-/// One worker's shape-keyed cache of prepared instances.
+/// One worker's shape-keyed cache of prepared instances, bounded by
+/// entry count with least-recently-used eviction.
 ///
 /// Owned by exactly one worker thread — sharding by shape means no
 /// entry is ever contended, so there are no locks anywhere in the
 /// service.
-#[derive(Default)]
 pub struct ShapeCache {
-    entries: HashMap<ShapeKey, PreparedDeployment<'static>>,
+    entries: HashMap<ShapeKey, Entry>,
+    capacity: usize,
+    /// Bumped once per [`serve`](Self::serve); entries record it on use.
+    tick: u64,
+    evictions: u64,
+    /// Fingerprints of every shape ever served — the "distinct shapes
+    /// seen" census, 8 bytes a shape instead of a prepared instance.
+    seen: HashSet<u64>,
+}
+
+struct Entry {
+    prep: PreparedDeployment<'static>,
+    last_use: u64,
+}
+
+/// 64-bit digest of a shape key: the shard selector and the census
+/// fingerprint.
+fn fingerprint(key: &ShapeKey) -> u64 {
+    let mut h = DefaultHasher::new();
+    key.hash(&mut h);
+    h.finish()
 }
 
 impl ShapeCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        Self::default()
+    /// An empty cache holding at most `capacity` prepared instances (0:
+    /// hold none, prepare every request from scratch).
+    pub fn new(capacity: usize) -> Self {
+        ShapeCache {
+            entries: HashMap::new(),
+            capacity,
+            tick: 0,
+            evictions: 0,
+            seen: HashSet::new(),
+        }
     }
 
-    /// Distinct shapes currently cached.
+    /// Prepared instances currently cached (at most the capacity).
     pub fn len(&self) -> usize {
         self.entries.len()
     }
 
-    /// Whether the cache holds nothing yet.
+    /// Least-recently-used entries dropped so far to make room.
+    pub fn evictions(&self) -> u64 {
+        self.evictions
+    }
+
+    /// Distinct shapes served so far, cached or not.
+    pub fn distinct_shapes(&self) -> u64 {
+        self.seen.len() as u64
+    }
+
+    /// Whether the cache holds nothing.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
 
-    /// Serve one request out of the cache, preparing on miss. Returns
-    /// `(hit, solve result)`.
+    /// Whether `key`'s prepared instance is cached: whether
+    /// [`serve`](Self::serve) would hit.
+    pub fn contains(&self, key: &ShapeKey) -> bool {
+        self.entries.contains_key(key)
+    }
+
+    /// Drop `key`'s prepared instance, if cached — for an instance a
+    /// panicking request may have left half-mutated. Not an eviction.
+    pub fn remove(&mut self, key: &ShapeKey) {
+        self.entries.remove(key);
+    }
+
+    /// Serve one request out of the cache, preparing on miss.
     ///
     /// On a hit the cached encoding is morphed to the request's counts
     /// and budgets via [`deltas_between`] + `apply_delta` — index-stable
     /// row surgery, no re-encode. `deterministic` resets warm-start
     /// state first so the solve is bit-identical to a serial one-shot
-    /// (see the crate docs).
+    /// (see the crate docs). A miss that prepares successfully is
+    /// cached, evicting the least-recently-used entry when full.
     pub fn serve(
         &mut self,
         req: &FleetRequest,
-        key: ShapeKey,
+        key: &ShapeKey,
         ws: &mut SimplexWorkspace,
         deterministic: bool,
-    ) -> (bool, Result<DeploymentPartition, PartitionError>) {
-        if let Some(prep) = self.entries.get_mut(&key) {
+    ) -> Result<DeploymentPartition, PartitionError> {
+        self.tick += 1;
+        if let Some(entry) = self.entries.get_mut(key) {
+            entry.last_use = self.tick;
+            let prep = &mut entry.prep;
             let deltas = deltas_between(prep.deployment(), &req.deployment);
             if !deltas.is_empty() {
                 prep.apply_delta(&deltas);
@@ -252,21 +334,37 @@ impl ShapeCache {
             if deterministic {
                 prep.reset_warm_start();
             }
-            return (true, prep.solve_at_in(req.rate, ws));
+            return prep.solve_at_in(req.rate, ws);
         }
-        match PreparedDeployment::new_shared(
+        self.seen.insert(fingerprint(key));
+        let mut prep = PreparedDeployment::new_shared(
             Arc::clone(&req.graph),
             Arc::clone(&req.profile),
             &req.deployment,
             &req.config,
-        ) {
-            Ok(mut prep) => {
-                let result = prep.solve_at_in(req.rate, ws);
-                self.entries.insert(key, prep);
-                (false, result)
-            }
-            Err(e) => (false, Err(e)),
+        )?;
+        let result = prep.solve_at_in(req.rate, ws);
+        self.insert(key.clone(), prep);
+        result
+    }
+
+    fn insert(&mut self, key: ShapeKey, prep: PreparedDeployment<'static>) {
+        if self.capacity == 0 {
+            return;
         }
+        if self.entries.len() >= self.capacity {
+            // Linear scan: at most `capacity` entries, and only on misses.
+            let lru = self
+                .entries
+                .iter()
+                .min_by_key(|(_, e)| e.last_use)
+                .map(|(k, _)| k.clone())
+                .expect("a full cache of nonzero capacity has entries");
+            self.entries.remove(&lru);
+            self.evictions += 1;
+        }
+        let last_use = self.tick;
+        self.entries.insert(key, Entry { prep, last_use });
     }
 }
 
@@ -277,6 +375,8 @@ struct WorkerReport {
     misses: u64,
     errors: u64,
     distinct_shapes: u64,
+    evictions: u64,
+    resident_shapes: u64,
     phase_times: PhaseTimes,
 }
 
@@ -286,45 +386,45 @@ fn worker_loop(
     rx: mpsc::Receiver<FleetRequest>,
     tx: mpsc::Sender<FleetResponse>,
 ) -> WorkerReport {
-    let mut cache = ShapeCache::new();
+    let mut cache = ShapeCache::new(cfg.cache_capacity);
     let mut arena = SimplexWorkspace::new();
-    let mut report = WorkerReport {
-        solves: 0,
-        hits: 0,
-        misses: 0,
-        errors: 0,
-        distinct_shapes: 0,
-        phase_times: PhaseTimes::default(),
-    };
+    let (mut solves, mut hits, mut errors) = (0, 0, 0);
+    let mut phase_times = PhaseTimes::default();
     while let Ok(req) = rx.recv() {
         let t = Instant::now();
-        let key = shape_key(&req.graph, &req.profile, &req.deployment, &req.config);
-        let (cache_hit, result) = if cfg.cache {
-            cache.serve(&req, key, &mut arena, cfg.deterministic)
-        } else {
-            let result = PreparedDeployment::new_shared(
-                Arc::clone(&req.graph),
-                Arc::clone(&req.profile),
+        // A panic anywhere below answers this request alone; the key (if
+        // keying got that far) names the instance it may have poisoned.
+        let mut key = None;
+        let mut hit = false;
+        let served = catch_unwind(AssertUnwindSafe(|| {
+            let key = key.insert(shape_key(
+                &req.graph,
+                &req.profile,
                 &req.deployment,
                 &req.config,
-            )
-            .and_then(|mut prep| prep.solve_at_in(req.rate, &mut arena));
-            (false, result)
-        };
-        report.solves += 1;
-        if cache_hit {
-            report.hits += 1;
-        } else {
-            report.misses += 1;
-        }
+            ));
+            hit = cache.contains(key);
+            cache.serve(&req, key, &mut arena, cfg.deterministic)
+        }));
+        let result = served.unwrap_or_else(|_| {
+            if let Some(key) = &key {
+                cache.remove(key);
+            }
+            arena = SimplexWorkspace::new();
+            Err(PartitionError::Invalid(
+                "the request panicked inside its fleet worker",
+            ))
+        });
+        solves += 1;
+        hits += u64::from(hit);
         match &result {
-            Ok(part) => add_phase_times(&mut report.phase_times, &part.ilp_stats.phase_times),
-            Err(_) => report.errors += 1,
+            Ok(part) => add_phase_times(&mut phase_times, &part.ilp_stats.phase_times),
+            Err(_) => errors += 1,
         }
         let resp = FleetResponse {
             id: req.id,
             worker,
-            cache_hit,
+            cache_hit: hit,
             latency_s: t.elapsed().as_secs_f64(),
             result,
         };
@@ -332,8 +432,16 @@ fn worker_loop(
             break; // server dropped its receiver: shutting down
         }
     }
-    report.distinct_shapes = cache.len() as u64;
-    report
+    WorkerReport {
+        solves,
+        hits,
+        misses: solves - hits,
+        errors,
+        distinct_shapes: cache.distinct_shapes(),
+        evictions: cache.evictions(),
+        resident_shapes: cache.len() as u64,
+        phase_times,
+    }
 }
 
 /// The fleet partitioning service: a sharded pool of worker threads,
@@ -394,7 +502,7 @@ pub struct FleetServer {
 
 impl FleetServer {
     /// Spawn a server with `workers` threads and default semantics
-    /// (cache on, deterministic).
+    /// (64-entry cache per worker, deterministic).
     pub fn new(workers: usize) -> Self {
         Self::with_config(FleetConfig {
             workers,
@@ -429,9 +537,7 @@ impl FleetServer {
 
     /// Which worker a shape is sharded to.
     fn shard(&self, key: &ShapeKey) -> usize {
-        let mut h = DefaultHasher::new();
-        key.hash(&mut h);
-        (h.finish() % self.txs.len() as u64) as usize
+        (fingerprint(key) % self.txs.len() as u64) as usize
     }
 
     /// Enqueue one request on its shape's shard. Responses arrive via
@@ -486,6 +592,8 @@ impl FleetServer {
             stats.cache_misses += report.misses;
             stats.encodes_avoided += report.hits;
             stats.distinct_shapes += report.distinct_shapes;
+            stats.evictions += report.evictions;
+            stats.resident_shapes += report.resident_shapes;
             stats.errors += report.errors;
             stats.per_worker_solves.push(report.solves);
             add_phase_times(&mut stats.phase_times, &report.phase_times);
@@ -520,4 +628,109 @@ pub fn run_batch(
     responses.sort_by_key(|r| r.id);
     let stats = server.shutdown();
     (responses, stats)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use wishbone_core::topology::Site;
+    use wishbone_core::LinkSpec;
+    use wishbone_dataflow::{ExecCtx, FnWork, GraphBuilder, Value};
+    use wishbone_profile::{profile, Platform, SourceTrace};
+
+    /// A two-stage reducing pipeline, profiled.
+    fn profiled() -> (Arc<Graph>, Arc<GraphProfile>) {
+        let mut b = GraphBuilder::new();
+        b.enter_node_namespace();
+        let src = b.source("src");
+        let mut prev = src;
+        for s in 0..2u64 {
+            prev = b.transform(
+                format!("stage{s}"),
+                Box::new(FnWork(move |_p: usize, v: &Value, cx: &mut ExecCtx| {
+                    let w = v.as_i16s().expect("fixture emits i16 windows");
+                    cx.meter().loop_scope(500 * (s + 1), |m| m.int(500));
+                    cx.emit(Value::VecI16(w.iter().step_by(2).copied().collect()));
+                })),
+                prev,
+            );
+        }
+        b.exit_namespace();
+        b.sink("out", prev);
+        let mut g = b.finish().expect("fixture graph builds");
+        let trace = SourceTrace {
+            source: src.0,
+            elements: (0..8).map(|i| Value::VecI16(vec![i as i16; 64])).collect(),
+            rate_hz: 25.0,
+        };
+        let prof = profile(&mut g, &[trace]).expect("fixture graph profiles");
+        (Arc::new(g), Arc::new(prof))
+    }
+
+    /// Motes under a server; `beta` is part of the shape, `count` is not.
+    fn request(app: &(Arc<Graph>, Arc<GraphProfile>), beta: f64, count: usize) -> FleetRequest {
+        let mut dep = Deployment::new(Site::server("srv", &Platform::server()));
+        let root = dep.root();
+        dep.attach(
+            root,
+            Site::new("motes", &Platform::tmote_sky()).with_count(count),
+            LinkSpec {
+                beta,
+                net_budget: f64::INFINITY,
+            },
+        );
+        FleetRequest {
+            id: 0,
+            graph: Arc::clone(&app.0),
+            profile: Arc::clone(&app.1),
+            deployment: dep,
+            config: DeploymentConfig::default(),
+            rate: 0.2,
+        }
+    }
+
+    #[test]
+    fn lru_bound_evicts_the_least_recently_used_shape() {
+        let app = profiled();
+        let mut cache = ShapeCache::new(2);
+        let mut ws = SimplexWorkspace::new();
+        let mut serve = |cache: &mut ShapeCache, beta: f64, count: usize| {
+            let req = request(&app, beta, count);
+            let key = shape_key(&req.graph, &req.profile, &req.deployment, &req.config);
+            let hit = cache.contains(&key);
+            let result = cache.serve(&req, &key, &mut ws, true);
+            assert!(result.is_ok(), "beta {beta}: {result:?}");
+            hit
+        };
+        // Five shapes through two slots; shape 1.0 is re-touched before
+        // every new shape, so it is always the most recently used.
+        assert!(!serve(&mut cache, 1.0, 2));
+        for (i, beta) in [1.5, 2.0, 2.5, 3.0].into_iter().enumerate() {
+            assert!(!serve(&mut cache, beta, 2), "beta {beta} is new");
+            assert!(cache.len() <= 2);
+            assert!(serve(&mut cache, 1.0, 3 + i), "the hot shape survives");
+        }
+        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.evictions(), 3);
+        assert_eq!(cache.distinct_shapes(), 5);
+        assert!(serve(&mut cache, 3.0, 4), "the newest one-off is resident");
+        assert!(!serve(&mut cache, 1.5, 4), "an evicted shape misses");
+        assert_eq!(cache.distinct_shapes(), 5, "a returning shape is not new");
+        assert_eq!(cache.evictions(), 4);
+    }
+
+    #[test]
+    fn zero_capacity_caches_nothing() {
+        let app = profiled();
+        let mut cache = ShapeCache::new(0);
+        let mut ws = SimplexWorkspace::new();
+        for count in [2, 3] {
+            let req = request(&app, 1.0, count);
+            let key = shape_key(&req.graph, &req.profile, &req.deployment, &req.config);
+            assert!(cache.serve(&req, &key, &mut ws, true).is_ok());
+            assert!(!cache.contains(&key));
+        }
+        assert!(cache.is_empty());
+        assert_eq!((cache.evictions(), cache.distinct_shapes()), (0, 1));
+    }
 }

@@ -125,13 +125,15 @@ pub fn report_stats(stats: &ilp::IlpStats) -> String {
 }
 
 /// One consistent fleet-statistics block: request volume, cache
-/// leverage (hits, misses, encodes avoided), shard balance, latency
+/// leverage (hits, misses, encodes avoided), cache residency and
+/// evictions, shard balance, latency
 /// percentiles, and the aggregated per-phase wall clock across every
 /// worker — the fleet-scale view of what [`report_stats`] shows for one
 /// solve.
 pub fn report_fleet_stats(stats: &fleet::FleetStats) -> String {
     format!(
         "{} requests over {} shapes: {} cache hits / {} misses ({} encodes avoided), {} errors\n\
+         cache: {} resident, {} evicted\n\
          per-worker solves: {:?}\n\
          latency p50 {:.2}ms, p99 {:.2}ms\n\
          phases (fleet-wide): encode {:.1}ms, presolve {:.1}ms, warm-start {:.1}ms, nodes {:.1}ms",
@@ -141,6 +143,8 @@ pub fn report_fleet_stats(stats: &fleet::FleetStats) -> String {
         stats.cache_misses,
         stats.encodes_avoided,
         stats.errors,
+        stats.resident_shapes,
+        stats.evictions,
         stats.per_worker_solves,
         stats.p50_s() * 1e3,
         stats.p99_s() * 1e3,

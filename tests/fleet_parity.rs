@@ -109,7 +109,11 @@ fn mk_dep(deep: bool, beta: f64, count: usize, gw_budget: f64) -> Deployment {
     );
     dep.attach(
         gw,
-        Site::new("motes", &mote).with_count(count),
+        // A literal, not `with_count`: requests may carry a zero count.
+        Site {
+            count,
+            ..Site::new("motes", &mote)
+        },
         LinkSpec {
             beta: 1.0,
             net_budget: f64::INFINITY,
@@ -157,33 +161,18 @@ fn assert_partitions_bit_identical(
     }
 }
 
-/// The PR-10 oracle anchor: shuffled batch through 1, 2, and 8 workers,
-/// every response bit-identical to the serial one-shot answer.
-#[test]
-fn fleet_batch_matches_serial_one_shot() {
-    // 8 distinct shapes: 2 graphs × 2 tree depths × 2 uplink betas. The
-    // graph/profile Arcs are shared across every request of a shape —
-    // exactly how a fleet client would hold them.
-    let apps = [profiled(0), profiled(1)];
-    let shapes: Vec<(usize, bool, f64)> = [0usize, 1]
-        .iter()
-        .flat_map(|&g| {
-            [false, true]
-                .iter()
-                .flat_map(move |&deep| [1.0f64, 2.5].iter().map(move |&beta| (g, deep, beta)))
-                .collect::<Vec<_>>()
-        })
-        .collect();
-    assert_eq!(shapes.len(), 8);
+/// `(shape, count, gw_budget, rate)` per request.
+type Params = (usize, usize, f64, f64);
 
-    // 200 requests, parameters drawn and then shuffled by a fixed LCG —
-    // same-shape requests land adjacent and far apart, with different
-    // counts, budgets, and rates in between, so cache hits are served
-    // from instances mutated by unrelated requests.
+/// 200 requests, parameters drawn and then shuffled by a fixed LCG —
+/// same-shape requests land adjacent and far apart, with different
+/// counts, budgets, and rates in between, so cache hits are served from
+/// instances mutated by unrelated requests.
+fn shuffled_params(shapes: usize) -> Vec<Params> {
     let mut rng = Lcg(0x5eed_1009);
-    let mut params: Vec<(usize, usize, f64, f64)> = (0..200)
+    let mut params: Vec<Params> = (0..200)
         .map(|_| {
-            let shape = rng.pick(shapes.len());
+            let shape = rng.pick(shapes);
             let count = 1 + rng.pick(4);
             let gw_budget = [0.05, 0.1, 0.2, 0.4][rng.pick(4)];
             let rate = [0.05, 0.1, 0.2, 0.35][rng.pick(4)];
@@ -193,77 +182,208 @@ fn fleet_batch_matches_serial_one_shot() {
     for i in (1..params.len()).rev() {
         params.swap(i, rng.pick(i + 1));
     }
+    params
+}
+
+/// The shapes' graph/profile Arcs, shared across every request of a
+/// shape — exactly how a fleet client would hold them — plus builders
+/// for fleet requests and for the serial oracle.
+struct Batch {
+    apps: [(Arc<Graph>, Arc<GraphProfile>); 2],
+    shapes: Vec<(usize, bool, f64)>,
+    cfg: DeploymentConfig,
+}
+
+impl Batch {
+    fn new() -> Self {
+        // 8 distinct shapes: 2 graphs × 2 tree depths × 2 uplink betas.
+        let shapes: Vec<(usize, bool, f64)> = [0usize, 1]
+            .iter()
+            .flat_map(|&g| {
+                [false, true]
+                    .iter()
+                    .flat_map(move |&deep| [1.0f64, 2.5].iter().map(move |&beta| (g, deep, beta)))
+                    .collect::<Vec<_>>()
+            })
+            .collect();
+        assert_eq!(shapes.len(), 8);
+        Batch {
+            apps: [profiled(0), profiled(1)],
+            shapes,
+            cfg: DeploymentConfig::default(),
+        }
+    }
+
+    fn deployment(&self, &(shape, count, gw_budget, _): &Params) -> Deployment {
+        let (_, deep, beta) = self.shapes[shape];
+        mk_dep(deep, beta, count, gw_budget)
+    }
+
+    fn requests(&self, params: &[Params]) -> Vec<FleetRequest> {
+        params
+            .iter()
+            .enumerate()
+            .map(|(i, p)| {
+                let (graph, prof) = &self.apps[self.shapes[p.0].0];
+                FleetRequest {
+                    id: i as u64,
+                    graph: Arc::clone(graph),
+                    profile: Arc::clone(prof),
+                    deployment: self.deployment(p),
+                    config: self.cfg.clone(),
+                    rate: p.3,
+                }
+            })
+            .collect()
+    }
+
+    /// Serial oracle: a fresh encode per request, no shared state at all.
+    fn serial(&self, params: &[Params]) -> Vec<Result<DeploymentPartition, PartitionError>> {
+        params
+            .iter()
+            .map(|p| {
+                let (graph, prof) = &self.apps[self.shapes[p.0].0];
+                partition_deployment(
+                    graph,
+                    prof,
+                    &self.deployment(p),
+                    &self.cfg.clone().at_rate(p.3),
+                )
+            })
+            .collect()
+    }
+}
+
+/// The oracle anchor: shuffled batch through 1, 2, and 8 workers,
+/// every response bit-identical to the serial one-shot answer — at the
+/// default cache capacity, and at capacity 1, where every worker holding
+/// two or more shapes evicts constantly and re-prepares shapes that
+/// come back.
+#[test]
+fn fleet_batch_matches_serial_one_shot() {
+    let batch = Batch::new();
+    let mut params = shuffled_params(batch.shapes.len());
     // One malformed request mid-batch: a zero rate must cost only its own
     // response (a typed error), never a worker or its cached instance.
     const BAD: usize = 100;
     params.insert(BAD, (0, 2, 0.1, 0.0));
+    let serial = batch.serial(&params);
 
-    let cfg = DeploymentConfig::default();
-    let mk_request = |id: u64, &(shape, count, gw_budget, rate): &(usize, usize, f64, f64)| {
-        let (graph_idx, deep, beta) = shapes[shape];
-        let (graph, prof) = &apps[graph_idx];
-        FleetRequest {
-            id,
-            graph: Arc::clone(graph),
-            profile: Arc::clone(prof),
-            deployment: mk_dep(deep, beta, count, gw_budget),
-            config: cfg.clone(),
-            rate,
-        }
-    };
-
-    // Serial oracle: a fresh encode per request, no shared state at all.
-    let serial: Vec<Result<DeploymentPartition, PartitionError>> = params
-        .iter()
-        .map(|&(shape, count, gw_budget, rate)| {
-            let (graph_idx, deep, beta) = shapes[shape];
-            let (graph, prof) = &apps[graph_idx];
-            partition_deployment(
-                graph,
-                prof,
-                &mk_dep(deep, beta, count, gw_budget),
-                &cfg.clone().at_rate(rate),
-            )
-        })
-        .collect();
-
-    for workers in [1usize, 2, 8] {
-        let requests: Vec<FleetRequest> = params
-            .iter()
-            .enumerate()
-            .map(|(i, p)| mk_request(i as u64, p))
-            .collect();
-        let (responses, stats) = run_batch(
-            FleetConfig {
-                workers,
-                cache: true,
-                deterministic: true,
-            },
-            requests,
-        );
-        assert_eq!(responses.len(), params.len());
-        assert_eq!(stats.requests, params.len() as u64);
-        assert_eq!(stats.distinct_shapes, 8, "{workers} workers: shape census");
-        // ≤ 8 shapes can need at most 8 encodes; everything else must
-        // ride `apply_delta` on a cached instance.
-        assert_eq!(
-            stats.cache_misses, 8,
-            "{workers} workers: every shape encodes exactly once"
-        );
-        assert_eq!(stats.cache_hits, params.len() as u64 - 8);
-        assert_eq!(stats.encodes_avoided, params.len() as u64 - 8);
-        assert!(
-            matches!(responses[BAD].result, Err(PartitionError::Invalid(_))),
-            "{workers} workers: a zero rate must be rejected, got {:?}",
-            responses[BAD].result
-        );
-        for (resp, oracle) in responses.iter().zip(&serial) {
-            assert_partitions_bit_identical(
-                &format!("{workers} workers, request {}", resp.id),
-                &resp.result,
-                oracle,
+    for cache_capacity in [FleetConfig::default().cache_capacity, 1] {
+        for workers in [1usize, 2, 8] {
+            let ctx = format!("{workers} workers, capacity {cache_capacity}");
+            let (responses, stats) = run_batch(
+                FleetConfig {
+                    workers,
+                    cache_capacity,
+                    deterministic: true,
+                },
+                batch.requests(&params),
             );
+            assert_eq!(responses.len(), params.len());
+            assert_eq!(stats.requests, params.len() as u64);
+            assert_eq!(stats.distinct_shapes, 8, "{ctx}: shape census");
+            assert_eq!(stats.cache_hits + stats.cache_misses, stats.requests);
+            assert!(stats.resident_shapes <= (cache_capacity * workers) as u64);
+            if cache_capacity >= batch.shapes.len() {
+                // ≤ 8 shapes can need at most 8 encodes; everything else
+                // must ride `apply_delta` on a cached instance.
+                assert_eq!(
+                    stats.cache_misses, 8,
+                    "{ctx}: every shape encodes exactly once"
+                );
+                assert_eq!(stats.cache_hits, params.len() as u64 - 8);
+                assert_eq!(stats.encodes_avoided, params.len() as u64 - 8);
+                assert_eq!((stats.evictions, stats.resident_shapes), (0, 8));
+            } else {
+                // Shards depend on pointer-keyed hashes, so read which
+                // worker got which shapes off the responses. A worker
+                // with two or more shapes alternates between them in the
+                // shuffled batch, so it evicts, and each returning shape
+                // is prepared again.
+                let mut per_worker = vec![Vec::new(); workers];
+                for resp in &responses {
+                    let shape = params[resp.id as usize].0;
+                    if !per_worker[resp.worker].contains(&shape) {
+                        per_worker[resp.worker].push(shape);
+                    }
+                }
+                let crowded = per_worker.iter().any(|s| s.len() >= 2);
+                assert!(crowded || workers >= batch.shapes.len(), "{ctx}");
+                assert_eq!(stats.evictions > 0, crowded, "{ctx}: evictions");
+                if crowded {
+                    assert!(
+                        stats.cache_misses > stats.distinct_shapes,
+                        "{ctx}: evicted shapes must come back as misses"
+                    );
+                }
+            }
+            assert!(
+                matches!(responses[BAD].result, Err(PartitionError::Invalid(_))),
+                "{ctx}: a zero rate must be rejected, got {:?}",
+                responses[BAD].result
+            );
+            for (resp, oracle) in responses.iter().zip(&serial) {
+                assert_partitions_bit_identical(
+                    &format!("{ctx}, request {}", resp.id),
+                    &resp.result,
+                    oracle,
+                );
+            }
         }
+    }
+}
+
+/// Zero-count leaves (possible through a `Site` literal) cost only their
+/// own responses: one arrives before its shape is cached (a miss, which
+/// the prepare rejects), one on a cached shape (a hit, whose delta
+/// surgery panics mid-way — the worker answers `Invalid`, drops the
+/// half-mutated instance and prepares the shape again on its next
+/// request). Every other response stays bit-identical to serial.
+#[test]
+fn zero_count_requests_cost_only_their_own_response() {
+    let batch = Batch::new();
+    let mut params = shuffled_params(batch.shapes.len());
+    // The hit lands on the batch's last shape, so that shape is requested
+    // again after the poisoned instance is dropped.
+    let hot = params[params.len() - 1].0;
+    const ON_HIT: usize = 150;
+    params.insert(ON_HIT, (hot, 0, 0.1, 0.2));
+    params.insert(0, (params[0].0, 0, 0.1, 0.2));
+    let serial = batch.serial(&params);
+
+    let (responses, stats) = run_batch(
+        FleetConfig {
+            workers: 2,
+            ..FleetConfig::default()
+        },
+        batch.requests(&params),
+    );
+
+    for (bad, what) in [(0, "miss"), (ON_HIT + 1, "hit")] {
+        assert_eq!(
+            responses[bad].cache_hit,
+            what == "hit",
+            "zero count as a {what}"
+        );
+        assert!(
+            matches!(responses[bad].result, Err(PartitionError::Invalid(_))),
+            "zero count as a {what}: got {:?}",
+            responses[bad].result
+        );
+    }
+    assert_eq!(stats.distinct_shapes, 8);
+    // 8 first encodes, the rejected zero-count prepare, and the re-prepare
+    // of the instance dropped after the panic.
+    assert_eq!(stats.cache_misses, 10);
+    assert_eq!(
+        stats.evictions, 0,
+        "dropping a poisoned entry is no eviction"
+    );
+    let serial_errors = serial.iter().filter(|r| r.is_err()).count() as u64;
+    assert_eq!(stats.errors, serial_errors);
+    for (resp, oracle) in responses.iter().zip(&serial) {
+        assert_partitions_bit_identical(&format!("request {}", resp.id), &resp.result, oracle);
     }
 }
 
@@ -300,13 +420,14 @@ fn cacheless_fleet_matches_serial_one_shot() {
     let (responses, stats) = run_batch(
         FleetConfig {
             workers: 2,
-            cache: false,
+            cache_capacity: 0,
             deterministic: true,
         },
         requests,
     );
     assert_eq!(stats.cache_hits, 0);
     assert_eq!(stats.encodes_avoided, 0);
+    assert_eq!((stats.evictions, stats.resident_shapes), (0, 0));
     for (resp, oracle) in responses.iter().zip(&serial) {
         assert_partitions_bit_identical(
             &format!("cacheless request {}", resp.id),
